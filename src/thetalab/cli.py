@@ -24,6 +24,7 @@ from typing import Optional
 import numpy as np
 
 from . import calibration, lattice, reduction, spectral, transport, flow
+from .liegroup import LogBranchError
 
 EXIT_OK = 0
 EXIT_ASSERT = 1
@@ -31,16 +32,12 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
 _NUMERICAL_ERRORS = (
+    LogBranchError,
     spectral.ClusteringAmbiguityError,
     calibration.DegenerateThetaError,
     reduction.NonStabilizingTwistError,
     np.linalg.LinAlgError,
 )
-try:
-    from .liegroup import LogBranchError
-    _NUMERICAL_ERRORS = (LogBranchError,) + _NUMERICAL_ERRORS
-except ImportError:  # pragma: no cover
-    pass
 
 
 def _emit(obj: dict, path: Optional[str]) -> None:

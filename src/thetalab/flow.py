@@ -1,7 +1,7 @@
 """Residual-minimizing gradient flow on link variables.
 
 Minimizes R(U) = sum_x cellvol <F, (I - P_{-1}) F> over the product of
-su(r) fibres, where F is the clover-log field strength and P_{-1} the
+su(2) fibres, where F is the clover-log field strength and P_{-1} the
 projector onto the lowest eigenspace of the calibration operator.  The
 analytic gradient differentiates through the matrix logarithm with exact
 divided-difference Frechet calculus; a central-difference mode serves as a
@@ -10,17 +10,18 @@ slow cross-checking oracle.
 
 from __future__ import annotations
 
+import logging
 import math
-import os
 from dataclasses import dataclass, field as dfield
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 import numpy as np
 
 from . import liegroup as lg
-from .lattice import (GaugeField, clover_field, curvature_vector,
-                      field_strength, theta_residual)
-from .spectral import decompose
+from .lattice import (_LEAVES, GaugeField, LatticeGeometry, _leaf_factors,
+                      _orthogonal_weight, _shift2, clover_log, theta_residual)
+
+_LOG = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -55,81 +56,16 @@ class FlowTrace:
                         self.steps, self.grad_norms))
 
 
-def _orthogonal_weight(model) -> np.ndarray:
-    """W = I - P_{-1}: quadratic form of the off-eigenspace energy."""
-    dec = decompose(model)
-    dim = dec.projectors[0].shape[0]
-    w = np.eye(dim)
-    for lam, proj in zip(dec.eigenvalues, dec.projectors):
-        if abs(lam + 1.0) < 1e-9:
-            w = w - proj
-    return w
-
-
 def residual_value(fieldv: GaugeField) -> float:
     return theta_residual(fieldv)
-
-
-def _log_frechet_adjoint(c: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """K with tr(Dlog(C, E) G) = tr(E K), batched over leading axes.
-
-    Uses the eigendecomposition C = S diag(lam) S^-1 and the symmetric
-    divided-difference kernel of the principal logarithm.
-    """
-    if c.shape[-1] == 2:
-        l1, l2 = lg._eig2(c)
-        diff = l1 - l2
-        near = np.abs(diff) < 1e-12
-        safe = np.where(near, 1.0, diff)
-        phi12 = np.where(near, 1.0 / l1, (np.log(l1) - np.log(l2)) / safe)
-        eye = np.eye(2)
-        p1 = (c - l2[..., None, None] * eye) / safe[..., None, None]
-        p1 = np.where(near[..., None, None], 0.5 * eye, p1)
-        p2 = eye - p1
-        k = phi12[..., None, None] * g
-        k += (1.0 / l1 - phi12)[..., None, None] * lg.mm(p1, lg.mm(g, p1))
-        k += (1.0 / l2 - phi12)[..., None, None] * lg.mm(p2, lg.mm(g, p2))
-        return k
-    lam, s = np.linalg.eig(c)
-    sinv = np.linalg.inv(s)
-    log_lam = np.log(lam)
-    num = log_lam[..., :, None] - log_lam[..., None, :]
-    den = lam[..., :, None] - lam[..., None, :]
-    near = np.abs(den) < 1e-12
-    phi = np.where(near, 1.0 / np.where(np.abs(lam[..., :, None]) < 1e-300,
-                                        1.0, lam[..., :, None]),
-                   num / np.where(near, 1.0, den))
-    g_tilde = sinv @ g @ s
-    return s @ (g_tilde * phi) @ sinv
-
-
-# clover leaf factor tables: each leaf is a list of (shift, axis_role, sign)
-# where shift is a (d_mu, d_nu) offset of the link site from the anchor,
-# axis_role is 0 for the mu link and 1 for the nu link, and sign +1 means
-# the link appears directly, -1 daggered.
-_LEAVES = (
-    (((0, 0), 0, +1), ((1, 0), 1, +1), ((0, 1), 0, -1), ((0, 0), 1, -1)),
-    (((0, 0), 1, +1), ((-1, 1), 0, -1), ((-1, 0), 1, -1), ((-1, 0), 0, +1)),
-    (((-1, 0), 0, -1), ((-1, -1), 1, -1), ((-1, -1), 0, +1), ((0, -1), 1, +1)),
-    (((0, -1), 1, -1), ((0, -1), 0, +1), ((1, -1), 1, +1), ((0, 0), 0, -1)),
-)
-
-
-def _shift2(arr: np.ndarray, mu: int, nu: int, d: Tuple[int, int]) -> np.ndarray:
-    out = arr
-    if d[0]:
-        out = np.roll(out, -d[0], axis=mu)
-    if d[1]:
-        out = np.roll(out, -d[1], axis=nu)
-    return out
 
 
 def _pair_list(n: int) -> List[Tuple[int, int]]:
     return [(mu, nu) for mu in range(n) for nu in range(mu + 1, n)]
 
 
-class _PlaneCache:
-    """Frozen per-plane leaf products for fast curvature linearization.
+class _PlaneCache(NamedTuple):
+    """Frozen per-plane linearization data of the clover-log curvature.
 
     Writing each clover leaf as a product of four link factors M_0..M_3,
     a left-multiplicative link variation U -> exp(xi) U perturbs factor t
@@ -137,106 +73,130 @@ class _PlaneCache:
     so every factor contributes sgn * P xi_shifted S to dC with P, S the
     cached partial products.  The same (P, S) pair gives the adjoint
     contribution sgn * S k P for a cotangent k, rolled back to the link
-    site.  Signs are folded into P.
+    site.  Signs are folded into P.  specs[i] is the (link axis, shift) of
+    factor i, and groups collects the factors sharing a spec.
+
+    The clover's spectral projectors P1, P2 and divided differences give
+    the Frechet derivative of the principal logarithm, see ``frechet``.
     """
 
-    __slots__ = ("mu", "nu", "clover", "p_stack", "s_stack",
-                 "specs", "groups")
+    mu: int
+    nu: int
+    clover: np.ndarray | None
+    p_stack: np.ndarray
+    s_stack: np.ndarray
+    specs: Tuple[Tuple[int, Tuple[int, int]], ...]
+    groups: Dict[Tuple[int, Tuple[int, int]], List[int]]
+    phi12: np.ndarray
+    c1: np.ndarray
+    c2: np.ndarray
+    p1: np.ndarray
+    p2: np.ndarray
 
-    def __init__(self, fieldv: GaugeField, mu: int, nu: int):
-        self.mu, self.nu = mu, nu
-        r = fieldv.rank
-        umu, unu = fieldv.links[mu], fieldv.links[nu]
-        eye = np.zeros(umu.shape, dtype=complex)
-        eye[...] = np.eye(r)
-        mm = lg.mm
-        p_list, s_list, sgns = [], [], []
-        self.specs = []          # per factor: (link axis, (d_mu, d_nu))
-        clover_acc = None
+    @staticmethod
+    def build(fieldv: GaugeField, mu: int, nu: int) -> "_PlaneCache":
+        eye = lg.identity_like(2, fieldv.geometry.dims)
+        p_list, s_list, sgns, specs, leaves = [], [], [], [], []
         for leaf in _LEAVES:
-            mats = []
-            for d, role, sign in leaf:
-                link = _shift2(umu if role == 0 else unu, mu, nu, d)
-                mats.append(link if sign > 0 else lg.dagger(link))
-            suffix = [None] * 5
-            suffix[4] = eye
-            for t in range(3, -1, -1):
-                suffix[t] = mm(mats[t], suffix[t + 1])
-            clover_acc = suffix[0] if clover_acc is None \
-                else clover_acc + suffix[0]
-            prefix = eye
+            mats = _leaf_factors(fieldv, mu, nu, leaf)
+            # prefix[t] = M_0..M_{t-1}, suffix[t] = M_t..M_3
+            prefix = [eye, mats[0]]
+            for t in (1, 2, 3):
+                prefix.append(lg.mm(prefix[t], mats[t]))
+            suffix = [None, None, None, mats[3], eye]
+            for t in (2, 1, 0):
+                suffix[t] = lg.mm(mats[t], suffix[t + 1])
+            leaves.append(suffix[0])
             for t, (d, role, sign) in enumerate(leaf):
-                if sign > 0:
-                    p_list.append(prefix)
-                    s_list.append(suffix[t])
-                else:
-                    p_list.append(mm(prefix, mats[t]))
-                    s_list.append(suffix[t + 1])
+                skip = 0 if sign > 0 else 1
+                p_list.append(prefix[t + skip])
+                s_list.append(suffix[t + skip])
                 sgns.append(float(sign))
-                self.specs.append((mu if role == 0 else nu, d))
-                prefix = mm(prefix, mats[t])
-        self.clover = 0.25 * clover_acc
-        sgn = np.asarray(sgns).reshape((len(sgns),) + (1,) * clover_acc.ndim)
-        self.p_stack = sgn * np.stack(p_list, axis=0)
-        self.s_stack = np.stack(s_list, axis=0)
-        self.groups: Dict[Tuple[int, Tuple[int, int]], List[int]] = {}
-        for i, spec in enumerate(self.specs):
-            self.groups.setdefault(spec, []).append(i)
+                specs.append((mu if role == 0 else nu, d))
+        clover = 0.25 * sum(leaves)
+        sgn = np.asarray(sgns).reshape((len(sgns),) + (1,) * clover.ndim)
+        groups: Dict[Tuple[int, Tuple[int, int]], List[int]] = {}
+        for i, spec in enumerate(specs):
+            groups.setdefault(spec, []).append(i)
+        # Dlog(C, E) = sum_ij phi_ij P_i E P_j with phi_ii = 1/l_i and
+        # phi_12 = phi_21 the divided difference of log at (l1, l2)
+        l1, l2 = lg._eig2(clover)
+        diff = l1 - l2
+        near = np.abs(diff) < 1e-12
+        safe = np.where(near, 1.0, diff)
+        phi12 = np.where(near, 1.0 / l1, (np.log(l1) - np.log(l2)) / safe)
+        eye2 = np.eye(2)
+        p1 = (clover - l2[..., None, None] * eye2) / safe[..., None, None]
+        p1 = np.where(near[..., None, None], 0.5 * eye2, p1)
+        return _PlaneCache(
+            mu, nu, clover, sgn * np.stack(p_list, axis=0),
+            np.stack(s_list, axis=0), tuple(specs), groups,
+            phi12[..., None, None], (1.0 / l1 - phi12)[..., None, None],
+            (1.0 / l2 - phi12)[..., None, None], p1, eye2 - p1)
+
+    def frechet(self, g: np.ndarray) -> np.ndarray:
+        """Dlog(C, g); phi is symmetric, so this is also the adjoint K with
+        tr(Dlog(C, E) g) = tr(E K)."""
+        return (self.phi12 * g + self.c1 * lg.mm(self.p1, g, self.p1)
+                + self.c2 * lg.mm(self.p2, g, self.p2))
+
+    def astype(self, dtype) -> "_PlaneCache":
+        """Copy of the linearization data in another precision; the clover
+        itself is not needed for it and is dropped."""
+        return self._replace(clover=None, **{
+            name: getattr(self, name).astype(dtype)
+            for name in ("p_stack", "s_stack", "phi12", "c1", "c2", "p1",
+                         "p2")})
 
 
 def _leaf_cache(fieldv: GaugeField) -> List[_PlaneCache]:
-    return [_PlaneCache(fieldv, mu, nu)
+    return [_PlaneCache.build(fieldv, mu, nu)
             for mu, nu in _pair_list(fieldv.geometry.naxes)]
 
 
-def _log_vector_from_cache(fieldv: GaugeField,
+def _log_vector_from_cache(geom: LatticeGeometry,
                            cache: List[_PlaneCache]) -> np.ndarray:
-    """Per-plane log field strength stack (P, *dims, r, r)."""
-    a = fieldv.geometry.spacings
-    return np.stack([lg.project_su(lg.log(pc.clover)) / (a[pc.mu] * a[pc.nu])
+    """Per-plane log field strength stack (P, *dims, 2, 2)."""
+    return np.stack([clover_log(geom, pc.clover, pc.mu, pc.nu)
                      for pc in cache], axis=0)
 
 
-def _jacobian_apply(fieldv: GaugeField, cache: List[_PlaneCache],
+def _jacobian_apply(geom: LatticeGeometry, cache: List[_PlaneCache],
                     xi: np.ndarray) -> np.ndarray:
-    """Directional derivative of the log field strength along xi."""
-    a = fieldv.geometry.spacings
-    mm = lg.mm
+    """Directional derivative of the log field strength along xi.
+
+    Runs in the precision of the cache and of xi.
+    """
+    a = geom.spacings
     out = []
     for pc in cache:
         shifted = {spec: _shift2(xi[spec[0]], pc.mu, pc.nu, spec[1])
                    for spec in pc.groups}
         x = np.stack([shifted[spec] for spec in pc.specs], axis=0)
-        dc = 0.25 * np.sum(mm(pc.p_stack, mm(x, pc.s_stack)), axis=0)
-        df = lg.project_su(_log_frechet_adjoint(pc.clover, dc))
-        out.append(df / (a[pc.mu] * a[pc.nu]))
+        dc = np.sum(lg.mm(pc.p_stack, x, pc.s_stack), axis=0)
+        dc *= 0.25 / (a[pc.mu] * a[pc.nu])
+        out.append(lg.project_su(pc.frechet(dc)))
     return np.stack(out, axis=0)
 
 
-def _jacobian_transpose(fieldv: GaugeField, cache: List[_PlaneCache],
+def _jacobian_transpose(geom: LatticeGeometry, cache: List[_PlaneCache],
                         cot: np.ndarray) -> np.ndarray:
     """Adjoint of the linearized log field strength against a cotangent.
 
     For the functional R = 2 cellvol * sum_p <F_p, cot_p>_K with a fixed
-    per-plane cotangent field, returns the per-link su(r) gradient;
-    feeding cot = (I - P_{-1}) F reproduces the residual gradient.
+    per-plane cotangent field, returns the per-link su(2) gradient in the
+    precision of the cotangent; feeding cot = (I - P_{-1}) F reproduces
+    the residual gradient.
     """
-    geom = fieldv.geometry
     a = geom.spacings
-    r = fieldv.rank
     cellvol = geom.cell_volume
-    grad = np.zeros_like(fieldv.links)
-    mm = lg.mm
-    for p_idx, pc in enumerate(cache):
-        # dR/dF pairing: dR = 2 cellvol <dF_p, cot_p>_K summed over p,
-        # with dF = project_su(Dlog(C, dC)) / (a_mu a_nu); the constant
-        # below collects everything multiplying Re tr(dC K).
-        coef = 2.0 * cellvol * (-2.0 * r) / (4.0 * a[pc.mu] * a[pc.nu])
-        k = _log_frechet_adjoint(pc.clover, cot[p_idx])
-        m = mm(pc.s_stack, mm(k[None], pc.p_stack))
+    grad = np.zeros((geom.naxes,) + cot.shape[1:], dtype=cot.dtype)
+    for pc, cot_p in zip(cache, cot):
+        coef = 2.0 * cellvol / (4.0 * a[pc.mu] * a[pc.nu])
+        m = lg.mm(pc.s_stack, pc.frechet(cot_p)[None], pc.p_stack)
         for (axis, d), idxs in pc.groups.items():
             msum = m[idxs[0]] if len(idxs) == 1 else np.sum(m[idxs], axis=0)
-            out = coef * lg.project_su(msum) / (-2.0 * r)
+            out = coef * lg.project_su(msum)
             if d[0]:
                 out = np.roll(out, d[0], axis=pc.mu)
             if d[1]:
@@ -249,142 +209,44 @@ def residual_gradient(fieldv: GaugeField, mode: str = "analytic",
                       h_fd: float = 1e-5) -> np.ndarray:
     """Riemannian gradient of the residual functional, per link.
 
-    Returns an su(r)-valued array of the same shape as the links; the
+    Returns an su(2)-valued array of the same shape as the links; the
     descent update is U <- exp(-step * grad) U.
     """
     if mode == "finite_difference":
         return _gradient_fd(fieldv, h_fd)
-    w = _orthogonal_weight(fieldv.geometry.model)
+    geom = fieldv.geometry
+    w = _orthogonal_weight(geom.model)
     cache = _leaf_cache(fieldv)
-    vec = _log_vector_from_cache(fieldv, cache)
+    vec = _log_vector_from_cache(geom, cache)
     gvec = np.tensordot(w, vec, axes=(1, 0))     # (W F)_p per site
-    return _jacobian_transpose(fieldv, cache, gvec)
-
-
-def _sandwich2(p: np.ndarray, x: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """p @ x @ s for stacks of 2x2 matrices without intermediate arrays."""
-    if p.shape[-1] != 2:
-        return p @ (x @ s)
-    a, b = x[..., 0, 0], x[..., 0, 1]
-    c, d = x[..., 1, 0], x[..., 1, 1]
-    e, f = s[..., 0, 0], s[..., 0, 1]
-    g, h = s[..., 1, 0], s[..., 1, 1]
-    i00 = a * e + b * g
-    i01 = a * f + b * h
-    i10 = c * e + d * g
-    i11 = c * f + d * h
-    pa, pb = p[..., 0, 0], p[..., 0, 1]
-    pc, pd = p[..., 1, 0], p[..., 1, 1]
-    shape = np.broadcast_shapes(p.shape, x.shape, s.shape)
-    out = np.empty(shape, dtype=np.result_type(p, x, s))
-    out[..., 0, 0] = pa * i00 + pb * i10
-    out[..., 0, 1] = pa * i01 + pb * i11
-    out[..., 1, 0] = pc * i00 + pd * i10
-    out[..., 1, 1] = pc * i01 + pd * i11
-    return out
-
-
-def _project_su2(m: np.ndarray) -> np.ndarray:
-    """Traceless anti-Hermitian projection, fused for 2x2 stacks."""
-    if m.shape[-1] != 2:
-        anti = 0.5 * (m - np.conjugate(np.swapaxes(m, -1, -2)))
-        r = m.shape[-1]
-        tr = np.trace(anti, axis1=-2, axis2=-1)[..., None, None] / r
-        return anti - tr * np.eye(r, dtype=m.dtype)
-    im00 = m[..., 0, 0].imag
-    im11 = m[..., 1, 1].imag
-    t = 0.5 * (im00 + im11)
-    out = np.empty(m.shape, dtype=m.dtype)
-    out[..., 0, 0] = 1j * (im00 - t)
-    out[..., 1, 1] = 1j * (im11 - t)
-    off = 0.5 * (m[..., 0, 1] - np.conjugate(m[..., 1, 0]))
-    out[..., 0, 1] = off
-    out[..., 1, 0] = -np.conjugate(off)
-    return out
+    return _jacobian_transpose(geom, cache, gvec)
 
 
 class _GaussNewtonOperator:
     """Normal operator xi -> J^T W J xi of the weighted curvature map.
 
-    Precomputes single-precision leaf stacks and the eigen-data of each
-    clover's logarithm kernel so that a matrix-vector product costs two
-    sandwich passes per plane.  Used only inside the inner linear solves;
-    gradients and residuals stay in double precision.
+    Keeps single-precision copies of the per-plane linearization data in
+    ``fast``, so that a matrix-vector product is one forward and one
+    adjoint pass of the shared linearization in complex64.  Used only
+    inside the inner linear solves; gradients and residuals stay in double
+    precision.
     """
 
     def __init__(self, fieldv: GaugeField):
-        self.field = fieldv
-        geom = fieldv.geometry
-        self.r = fieldv.rank
-        self.a = geom.spacings
-        w64 = _orthogonal_weight(geom.model)
+        self.geometry = fieldv.geometry
+        w64 = _orthogonal_weight(self.geometry.model)
         self.w32 = w64.astype(np.complex64)
-        self.cache = _leaf_cache(fieldv)
-        vec = _log_vector_from_cache(fieldv, self.cache)
+        cache = _leaf_cache(fieldv)
+        vec = _log_vector_from_cache(self.geometry, cache)
         self.gradient = _jacobian_transpose(
-            fieldv, self.cache, np.tensordot(w64, vec, axes=(1, 0)))
-        self.fast = []
-        for pc in self.cache:
-            c = pc.clover
-            if c.shape[-1] == 2:
-                l1, l2 = lg._eig2(c)
-                diff = l1 - l2
-                near = np.abs(diff) < 1e-12
-                safe = np.where(near, 1.0, diff)
-                phi12 = np.where(near, 1.0 / l1,
-                                 (np.log(l1) - np.log(l2)) / safe)
-                eye = np.eye(2)
-                p1 = (c - l2[..., None, None] * eye) / safe[..., None, None]
-                p1 = np.where(near[..., None, None], 0.5 * eye, p1)
-                p2 = eye - p1
-                fr = (phi12[..., None, None].astype(np.complex64),
-                      (1.0 / l1 - phi12)[..., None, None].astype(np.complex64),
-                      (1.0 / l2 - phi12)[..., None, None].astype(np.complex64),
-                      p1.astype(np.complex64), p2.astype(np.complex64))
-            else:
-                fr = None
-            self.fast.append((pc.p_stack.astype(np.complex64),
-                              pc.s_stack.astype(np.complex64), fr))
-
-    def _frechet(self, idx: int, g: np.ndarray) -> np.ndarray:
-        fr = self.fast[idx][2]
-        if fr is None:
-            return _log_frechet_adjoint(self.cache[idx].clover,
-                                        g.astype(complex)).astype(np.complex64)
-        phi12, c1, c2, p1, p2 = fr
-        return (phi12 * g + c1 * _sandwich2(p1, g, p1)
-                + c2 * _sandwich2(p2, g, p2))
+            self.geometry, cache, np.tensordot(w64, vec, axes=(1, 0)))
+        self.fast = [pc.astype(np.complex64) for pc in cache]
 
     def matvec(self, xi: np.ndarray) -> np.ndarray:
-        a = self.a
-        cellvol = self.field.geometry.cell_volume
-        xi32 = xi.astype(np.complex64, copy=False)
-        dfs = []
-        for idx, pc in enumerate(self.cache):
-            p32, s32, _ = self.fast[idx]
-            shifted = {spec: _shift2(xi32[spec[0]], pc.mu, pc.nu, spec[1])
-                       for spec in pc.groups}
-            x = np.stack([shifted[s] for s in pc.specs], axis=0)
-            dc = np.sum(_sandwich2(p32, x, s32), axis=0)
-            dc *= np.complex64(0.25 / (a[pc.mu] * a[pc.nu]))
-            dfs.append(_project_su2(self._frechet(idx, dc)))
-        cot = np.tensordot(self.w32, np.stack(dfs, axis=0), axes=(1, 0))
-        grad = np.zeros(xi.shape, dtype=np.complex64)
-        for idx, pc in enumerate(self.cache):
-            p32, s32, _ = self.fast[idx]
-            k = self._frechet(idx, cot[idx])
-            m = _sandwich2(s32, k[None], p32)
-            coef = np.complex64(2.0 * cellvol / (4.0 * a[pc.mu] * a[pc.nu]))
-            for (axis, d), idxs in pc.groups.items():
-                msum = m[idxs[0]] if len(idxs) == 1 \
-                    else np.sum(m[idxs], axis=0)
-                out = coef * _project_su2(msum)
-                if d[0]:
-                    out = np.roll(out, d[0], axis=pc.mu)
-                if d[1]:
-                    out = np.roll(out, d[1], axis=pc.nu)
-                grad[axis] += out
-        return grad
+        df = _jacobian_apply(self.geometry, self.fast,
+                             xi.astype(np.complex64, copy=False))
+        return _jacobian_transpose(self.geometry, self.fast,
+                                   np.tensordot(self.w32, df, axes=(1, 0)))
 
 
 def _su_basis(r: int) -> List[np.ndarray]:
@@ -460,7 +322,10 @@ def _laplace_preconditioner(dims: Tuple[int, ...]) -> np.ndarray:
         shape = [1] * len(dims)
         shape[ax] = n_ax
         acc = acc + s2.reshape(shape)
-    eps = min(4.0 * np.sin(np.pi / n_ax) ** 2 for n_ax in dims)
+    # a one-site axis has no nonzero mode (4 sin^2(pi) rounds to 6e-32, not
+    # 0), so only longer axes set the shift; a single site gets 1
+    eps = min((4.0 * np.sin(np.pi / n_ax) ** 2 for n_ax in dims if n_ax > 1),
+              default=1.0)
     return 1.0 / (acc + eps)
 
 
@@ -651,9 +516,8 @@ def _gauss_newton_phase(current: GaugeField, res: float, cfg: FlowConfig,
         trace.residuals.append(res)
         trace.steps.append(trial if accepted else 0.0)
         trace.grad_norms.append(gnorm)
-        if os.environ.get("THETALAB_FLOW_VERBOSE"):
-            print(f"refine {outer}: residual {res:.3e} cap {cap} "
-                  f"step {trial:.2g}", flush=True)
+        _LOG.debug("refine %d: residual %.3e cap %d step %.2g",
+                   outer, res, cap, trial)
         if accepted:
             lam = 1e-8
             warm = trial * direction

@@ -1,10 +1,10 @@
 """Lattice gauge fields on product tori.
 
-Links are stored in one complex array of shape (naxes, *dims, r, r); all
-heavy loops are vectorized over sites with np.roll shifts.  Nontrivial
-bundles are realized by absorbing abelian transition factors directly into
-the link variables, so plaquettes and holonomies never need explicit
-boundary insertions; the flux data is kept alongside as metadata.
+Links are SU(2) and stored in one complex array of shape (naxes, *dims,
+2, 2); all heavy loops are vectorized over sites with np.roll shifts.
+Nontrivial bundles are realized by absorbing abelian transition factors
+directly into the link variables, so plaquettes and holonomies never need
+explicit boundary insertions; the flux data is kept alongside as metadata.
 """
 
 from __future__ import annotations
@@ -78,20 +78,22 @@ class TransitionTwist:
             raise ValueError("fluxes must be an antisymmetric integer matrix")
 
     @staticmethod
-    def zero(n: int, r: int = 2) -> "TransitionTwist":
-        emb = tuple([1, -1] + [0] * (r - 2)) if r >= 2 else (0,)
+    def zero(n: int) -> "TransitionTwist":
         return TransitionTwist(tuple(tuple(0 for _ in range(n))
-                                     for _ in range(n)), emb)
+                                     for _ in range(n)))
 
 
 @dataclass
 class GaugeField:
     geometry: LatticeGeometry
-    links: np.ndarray                      # (naxes, *dims, r, r) complex
+    links: np.ndarray                      # (naxes, *dims, 2, 2) complex
     twist: Optional[TransitionTwist] = None
 
     def __post_init__(self):
         expected = (self.geometry.naxes,) + self.geometry.dims
+        if self.links.shape[-2:] != (2, 2):
+            raise ValueError(f"links shape {self.links.shape} is not SU(2): "
+                             "lattice fields carry 2x2 links only")
         if self.links.shape[:-2] != expected:
             raise ValueError(f"links shape {self.links.shape} does not match "
                              f"geometry {expected}")
@@ -103,15 +105,14 @@ class GaugeField:
     def copy(self) -> "GaugeField":
         return GaugeField(self.geometry, self.links.copy(), self.twist)
 
-    def check_unitarity(self, tol: float = 1e-12) -> float:
-        r = self.rank
-        dev = np.abs(self.links @ lg.dagger(self.links) - np.eye(r))
+    def check_unitarity(self) -> float:
+        dev = np.abs(self.links @ lg.dagger(self.links) - np.eye(2))
         return float(np.max(dev))
 
 
-def trivial_field(geom: LatticeGeometry, r: int = 2) -> GaugeField:
-    links = lg.identity_like(r, (geom.naxes,) + geom.dims)
-    return GaugeField(geom, links, TransitionTwist.zero(geom.naxes, r))
+def trivial_field(geom: LatticeGeometry) -> GaugeField:
+    links = lg.identity_like(2, (geom.naxes,) + geom.dims)
+    return GaugeField(geom, links, TransitionTwist.zero(geom.naxes))
 
 
 def shift(arr: np.ndarray, mu: int, steps: int = 1) -> np.ndarray:
@@ -127,8 +128,7 @@ def _coordinate_grid(dims: Tuple[int, ...], axis: int) -> np.ndarray:
 
 
 def constant_curvature_abelian(geom: LatticeGeometry,
-                               fluxes: Sequence[Sequence[int]],
-                               r: int = 2) -> GaugeField:
+                               fluxes: Sequence[Sequence[int]]) -> GaugeField:
     """Abelian background with exactly constant field strength.
 
     For each flux n in the (mu, nu) plane the nu-links acquire the phase
@@ -142,7 +142,7 @@ def constant_curvature_abelian(geom: LatticeGeometry,
     if f.shape != (n, n) or np.any(f != -f.T):
         raise ValueError("fluxes must be an antisymmetric n x n integer matrix")
     twist = TransitionTwist(tuple(map(tuple, f.tolist())))
-    q = np.array(twist.charge_embedding[:r] + (0,) * max(0, r - 2))
+    q = np.array(twist.charge_embedding)
     dims = geom.dims
     # accumulate diagonal phases per link direction
     phases = np.zeros((n,) + dims)  # angle multiplying q on each link
@@ -162,12 +162,10 @@ def constant_curvature_abelian(geom: LatticeGeometry,
             phases[nu] += 2 * np.pi * nflux * xmu / (dims[mu] * dims[nu])
             phases[mu] += np.where(xmu == dims[mu] - 1,
                                    -2 * np.pi * nflux * xnu / dims[nu], 0.0)
-    links = np.zeros((n,) + dims + (r, r), dtype=complex)
-    for mu in range(n):
-        diag = np.exp(1j * phases[mu][..., None] * q)
-        links[mu] = np.zeros(dims + (r, r), dtype=complex)
-        for k in range(r):
-            links[mu][..., k, k] = diag[..., k]
+    diag = np.exp(1j * phases[..., None] * q)
+    links = np.zeros((n,) + dims + (2, 2), dtype=complex)
+    links[..., 0, 0] = diag[..., 0]
+    links[..., 1, 1] = diag[..., 1]
     return GaugeField(geom, links, twist)
 
 
@@ -187,26 +185,49 @@ def plaquette(fieldv: GaugeField, site: Sequence[int], mu: int, nu: int
         @ lg.dagger(at(nu, x))
 
 
-def plaquette_field(fieldv: GaugeField, mu: int, nu: int) -> np.ndarray:
-    """All (mu, nu) plaquettes anchored at each site, vectorized."""
-    U = fieldv.links
-    return U[mu] @ shift(U[nu], mu) @ lg.dagger(shift(U[mu], nu)) \
-        @ lg.dagger(U[nu])
+# Clover leaves in the (mu, nu) plane, each the ordered product of four link
+# factors (shift, role, sign): the link sits at x + shift[0] e_mu +
+# shift[1] e_nu, role 0 is the mu link and 1 the nu link, and sign -1 means
+# the link enters daggered.  Every leaf has the orientation of the
+# plaquette U_mu(x) U_nu(x+mu) U_mu(x+nu)^dag U_nu(x)^dag.
+_LEAVES = (
+    (((0, 0), 0, +1), ((1, 0), 1, +1), ((0, 1), 0, -1), ((0, 0), 1, -1)),
+    (((0, 0), 1, +1), ((-1, 1), 0, -1), ((-1, 0), 1, -1), ((-1, 0), 0, +1)),
+    (((-1, 0), 0, -1), ((-1, -1), 1, -1), ((-1, -1), 0, +1), ((0, -1), 1, +1)),
+    (((0, -1), 1, -1), ((0, -1), 0, +1), ((1, -1), 1, +1), ((0, 0), 0, -1)),
+)
+
+
+def _shift2(arr: np.ndarray, mu: int, nu: int, d: Tuple[int, int]) -> np.ndarray:
+    """Value at x + d[0] e_mu + d[1] e_nu, for site arrays."""
+    out = arr
+    if d[0]:
+        out = np.roll(out, -d[0], axis=mu)
+    if d[1]:
+        out = np.roll(out, -d[1], axis=nu)
+    return out
+
+
+def _leaf_factors(fieldv: GaugeField, mu: int, nu: int, leaf) -> list:
+    """The four link factors of one clover leaf, shifted and daggered."""
+    out = []
+    for d, role, sign in leaf:
+        link = _shift2(fieldv.links[mu if role == 0 else nu], mu, nu, d)
+        out.append(link if sign > 0 else lg.dagger(link))
+    return out
 
 
 def clover_field(fieldv: GaugeField, mu: int, nu: int) -> np.ndarray:
     """Average of the four equally oriented (mu, nu) leaves at each site."""
-    U = fieldv.links
-    Umu, Unu = U[mu], U[nu]
-    dU, mm = lg.dagger, lg.mm
-    l1 = mm(mm(Umu, shift(Unu, mu)), mm(dU(shift(Umu, nu)), dU(Unu)))
-    l2 = mm(mm(Unu, dU(shift(shift(Umu, nu), mu, -1))),
-            mm(dU(shift(Unu, mu, -1)), shift(Umu, mu, -1)))
-    l3 = mm(mm(dU(shift(Umu, mu, -1)), dU(shift(shift(Unu, mu, -1), nu, -1))),
-            mm(shift(shift(Umu, mu, -1), nu, -1), shift(Unu, nu, -1)))
-    l4 = mm(mm(dU(shift(Unu, nu, -1)), shift(Umu, nu, -1)),
-            mm(shift(shift(Unu, nu, -1), mu), dU(Umu)))
-    return 0.25 * (l1 + l2 + l3 + l4)
+    return 0.25 * sum(lg.mm(*_leaf_factors(fieldv, mu, nu, leaf))
+                      for leaf in _LEAVES)
+
+
+def clover_log(geom: LatticeGeometry, clover: np.ndarray, mu: int, nu: int
+               ) -> np.ndarray:
+    """F_{mu nu} from a (mu, nu) clover: its su(2) log over the cell area."""
+    a = geom.spacings
+    return lg.project_su(lg.log(clover)) / (a[mu] * a[nu])
 
 
 @dataclass
@@ -243,12 +264,10 @@ class BigradedCurvature:
 def field_strength(fieldv: GaugeField) -> BigradedCurvature:
     """Clover-log field strength F_{mu nu}(x), exact on constant abelian fields."""
     geom = fieldv.geometry
-    a = geom.spacings
     F = {}
     for mu in range(geom.naxes):
         for nu in range(mu + 1, geom.naxes):
-            C = clover_field(fieldv, mu, nu)
-            F[(mu, nu)] = lg.project_su(lg.log(C)) / (a[mu] * a[nu])
+            F[(mu, nu)] = clover_log(geom, clover_field(fieldv, mu, nu), mu, nu)
     return BigradedCurvature(geom, F)
 
 
@@ -265,21 +284,28 @@ def curvature_vector(curv: BigradedCurvature) -> np.ndarray:
     return np.stack([curv.F[p] for p in pairs], axis=0)
 
 
+def _orthogonal_weight(model: CalibratedModel) -> np.ndarray:
+    """W = I - P_{-1} on the 2-form basis: the off-eigenspace projector.
+
+    Raises ValueError unless the lowest eigenvalue of Q_theta is -1, since
+    for any other scale P_{-1} is empty and W would weigh the whole energy.
+    """
+    dec = decompose(model)
+    if abs(dec.lambda_min + 1.0) > 1e-9:
+        raise ValueError(
+            f"model {model.label!r} has lowest eigenvalue {dec.lambda_min:.6g}, "
+            "not -1; rescale theta with calibration.normalize_admissible")
+    return np.eye(dec.projectors[0].shape[0]) - dec.projectors[0]
+
+
 def theta_residual(fieldv: GaugeField,
                    curvature: BigradedCurvature | None = None) -> float:
-    """Energy of the curvature components outside the -1 eigenspace."""
+    """Energy cellvol * sum_x <W F, W F> outside the -1 eigenspace."""
     geom = fieldv.geometry
     curv = curvature or field_strength(fieldv)
-    dec = decompose(geom.model)
-    vec = curvature_vector(curv)               # (P, *dims, r, r)
-    r = vec.shape[-1]
-    total = 0.0
-    for lam, proj in zip(dec.eigenvalues, dec.projectors):
-        if abs(lam + 1.0) < 1e-9:
-            continue
-        pv = np.tensordot(proj, vec, axes=(1, 0))
-        total += float(np.sum(lg.killing_inner_batched(pv, pv, r)))
-    return total * geom.cell_volume
+    wf = np.tensordot(_orthogonal_weight(geom.model), curvature_vector(curv),
+                      axes=(1, 0))
+    return float(np.sum(lg.killing_inner_batched(wf, wf, 2))) * geom.cell_volume
 
 
 @dataclass(frozen=True)
@@ -391,11 +417,11 @@ def charges(fieldv: GaugeField,
     )
 
 
-def random_gauge_transform(geom: LatticeGeometry, seed: int, r: int = 2,
+def random_gauge_transform(geom: LatticeGeometry, seed: int,
                            scale: float = 1.0) -> np.ndarray:
     """Site-wise random special unitary transformation g(x)."""
     rng = np.random.default_rng(seed)
-    alg = lg.random_su(r, rng, geom.dims, scale=scale)
+    alg = lg.random_su(2, rng, geom.dims, scale=scale)
     return lg.exp(alg)
 
 

@@ -25,16 +25,31 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return np.conjugate(np.swapaxes(m, -1, -2))
 
 
-def mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Batched matrix product; unrolled for the dominant 2x2 case."""
-    if a.shape[-1] == 2 and b.shape[-1] == 2 and a.shape == b.shape:
-        out = np.empty_like(a)
-        out[..., 0, 0] = a[..., 0, 0] * b[..., 0, 0] + a[..., 0, 1] * b[..., 1, 0]
-        out[..., 0, 1] = a[..., 0, 0] * b[..., 0, 1] + a[..., 0, 1] * b[..., 1, 1]
-        out[..., 1, 0] = a[..., 1, 0] * b[..., 0, 0] + a[..., 1, 1] * b[..., 1, 0]
-        out[..., 1, 1] = a[..., 1, 0] * b[..., 0, 1] + a[..., 1, 1] * b[..., 1, 1]
+def mm(*factors: np.ndarray) -> np.ndarray:
+    """Product of (batched) matrices, broadcast over the leading axes.
+
+    2x2 factors are multiplied from the right with the four entries held
+    as separate arrays, so the (..., 2, 2) result is written only once;
+    the result keeps the input dtype.  Other ranks chain np.matmul.
+    """
+    if factors[-1].shape[-1] != 2:
+        out = factors[-1]
+        for m in reversed(factors[:-1]):
+            out = m @ out
         return out
-    return a @ b
+    last = factors[-1]
+    e, f = last[..., 0, 0], last[..., 0, 1]
+    g, h = last[..., 1, 0], last[..., 1, 1]
+    for m in reversed(factors[:-1]):
+        a, b, c, d = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+        e, f, g, h = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+    out = np.empty(np.broadcast_shapes(*(m.shape for m in factors)),
+                   dtype=np.result_type(*factors))
+    out[..., 0, 0] = e
+    out[..., 0, 1] = f
+    out[..., 1, 0] = g
+    out[..., 1, 1] = h
+    return out
 
 
 def _eig2(m: np.ndarray):
@@ -108,10 +123,6 @@ def is_unitary(g: np.ndarray, tol: float = 1e-12) -> bool:
     return float(np.max(dev)) <= tol
 
 
-def is_special(g: np.ndarray, tol: float = 1e-12) -> bool:
-    return float(np.max(np.abs(np.linalg.det(np.asarray(g)) - 1.0))) <= tol
-
-
 def killing_inner(a: np.ndarray, b: np.ndarray, r: int | None = None) -> float:
     """<a, b> = -2 r tr(a b) for single u(r) elements."""
     a = np.asarray(a)
@@ -131,22 +142,52 @@ def killing_inner_batched(a: np.ndarray, b: np.ndarray, r: int | None = None
 
 
 def project_su(m: np.ndarray) -> np.ndarray:
-    """Anti-Hermitian traceless part of an arbitrary (batched) matrix."""
-    m = np.asarray(m, dtype=complex)
-    r = m.shape[-1]
-    anti = 0.5 * (m - dagger(m))
-    tr = np.trace(anti, axis1=-2, axis2=-1)[..., None, None] / r
-    return anti - tr * np.eye(r)
+    """Anti-Hermitian traceless part of an arbitrary (batched) matrix.
+
+    Complex inputs keep their dtype; 2x2 stacks use a fused entrywise form.
+    """
+    m = np.asarray(m)
+    if not np.iscomplexobj(m):
+        m = m.astype(complex)
+    if m.shape[-1] != 2:
+        r = m.shape[-1]
+        anti = 0.5 * (m - dagger(m))
+        tr = np.trace(anti, axis1=-2, axis2=-1)[..., None, None] / r
+        return anti - tr * np.eye(r, dtype=m.dtype)
+    im00 = m[..., 0, 0].imag
+    im11 = m[..., 1, 1].imag
+    t = 0.5 * (im00 + im11)
+    out = np.empty(m.shape, dtype=m.dtype)
+    out[..., 0, 0] = 1j * (im00 - t)
+    out[..., 1, 1] = 1j * (im11 - t)
+    off = 0.5 * (m[..., 0, 1] - np.conjugate(m[..., 1, 0]))
+    out[..., 0, 1] = off
+    out[..., 1, 0] = -np.conjugate(off)
+    return out
 
 
 def unitarize(m: np.ndarray) -> np.ndarray:
-    """Nearest unitary via polar decomposition."""
+    """Nearest unitary via polar decomposition.
+
+    For invertible 2x2 M with singular values s1, s2, M + |det M| M^-dag =
+    (s1 + s2) V W^dag, which is the polar factor V W^dag times
+    sqrt(|M|_F^2 + 2 |det M|); it needs no eigenvalue divided difference,
+    which loses digits when the singular values are close but not equal.
+    """
     m = np.asarray(m, dtype=complex)
-    if m.shape[-1] == 2:
-        h = dagger(m) @ m
-        return m @ _apply2(h, lambda lam: 1.0 / np.sqrt(lam))
-    u, _, vh = np.linalg.svd(m)
-    return u @ vh
+    if m.shape[-1] != 2:
+        u, _, vh = np.linalg.svd(m)
+        return u @ vh
+    a, b, c, d = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+    det = a * d - b * c
+    phase = det / np.abs(det)       # |det M| M^-dag = phase * adj(M)^dag
+    out = np.empty_like(m)
+    out[..., 0, 0] = a + phase * np.conjugate(d)
+    out[..., 0, 1] = b - phase * np.conjugate(c)
+    out[..., 1, 0] = c - phase * np.conjugate(b)
+    out[..., 1, 1] = d + phase * np.conjugate(a)
+    norm = np.sqrt(np.sum(np.abs(m) ** 2, axis=(-2, -1)) + 2.0 * np.abs(det))
+    return out / norm[..., None, None]
 
 
 def random_su(r: int, rng: np.random.Generator, shape: tuple = (),

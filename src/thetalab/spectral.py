@@ -83,7 +83,7 @@ def decompose(model: CalibratedModel, tau_cluster: float = 1e-8
     tau_cluster is relative to the spectral radius; a gap below twice the
     absolute tolerance raises ClusteringAmbiguityError.
     """
-    key = _model_key(model)
+    key = _model_key(model) + (tau_cluster,)
     with _CACHE_LOCK:
         hit = _CACHE.get(key)
     if hit is not None:

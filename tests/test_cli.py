@@ -1,4 +1,5 @@
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -179,3 +180,16 @@ def test_thread_cap_env(monkeypatch):
     cli._apply_thread_cap()
     import os
     assert os.environ["OMP_NUM_THREADS"] == "1"
+
+
+def test_flow_diagnostics_go_to_logging(tmp_path, caplog, capsys):
+    noisy = str(tmp_path / "noisy.json")
+    run(["make-instanton", "--fluxes", "12:1,34:-1", "--dims", "3,3,3,3",
+         "--noise", "0.01", "--seed", "5", "--out", noisy])
+    capsys.readouterr()
+    caplog.set_level(logging.DEBUG, logger="thetalab.flow")
+    assert run(["flow", noisy, "--tol", "1e-6"]) == cli.EXIT_OK
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["verdict"] == "converged"
+    assert any(rec.name == "thetalab.flow" and "refine" in rec.getMessage()
+               for rec in caplog.records)

@@ -103,6 +103,42 @@ def test_normal_operator_symmetric_positive():
         assert Fl._dot(xi, bxi) >= 0.0
 
 
+def test_normal_operator_matches_double_precision_passes():
+    field = Fl.perturb(small_pullback(), 0.05, seed=14)
+    geom = field.geometry
+    op = Fl._GaussNewtonOperator(field)
+    cache = Fl._leaf_cache(field)
+    w = La._orthogonal_weight(geom.model)
+    xi = lg.random_su(2, np.random.default_rng(1), field.links.shape[:-2])
+    want = Fl._jacobian_transpose(
+        geom, cache, np.tensordot(w, Fl._jacobian_apply(geom, cache, xi),
+                                  axes=(1, 0)))
+    got = op.matvec(xi)
+    assert got.dtype == np.complex64
+    assert np.max(np.abs(got - want)) < 1e-5 * np.max(np.abs(want))
+
+
+def test_jacobian_apply_matches_central_differences():
+    field = Fl.perturb(small_pullback(), 0.08, seed=15)
+    xi = lg.random_su(2, np.random.default_rng(2), field.links.shape[:-2])
+    h = 1e-5
+
+    def curvature_at(t):
+        moved = La.GaugeField(field.geometry,
+                              lg.mm(lg.exp(t * xi), field.links), field.twist)
+        return La.curvature_vector(La.field_strength(moved))
+
+    want = (curvature_at(h) - curvature_at(-h)) / (2 * h)
+    got = Fl._jacobian_apply(field.geometry, Fl._leaf_cache(field), xi)
+    assert np.max(np.abs(got - want)) < 1e-7 * np.max(np.abs(want))
+
+
+def test_plane_cache_clover_matches_clover_field():
+    field = Fl.perturb(small_pullback(), 0.3, seed=16)
+    for pc in Fl._leaf_cache(field):
+        assert np.array_equal(pc.clover, La.clover_field(field, pc.mu, pc.nu))
+
+
 def test_normal_operator_gradient_consistent():
     field = Fl.perturb(small_pullback(), 0.05, seed=11)
     op = Fl._GaussNewtonOperator(field)
@@ -159,6 +195,14 @@ def test_minimize_trace_is_consistent():
     assert len(trace.residuals) == len(trace.steps) == len(trace.grad_norms)
     assert all(s >= 0.0 for s in trace.steps)
     assert all(g >= 0.0 for g in trace.grad_norms)
+
+
+def test_laplace_preconditioner_one_site_axis():
+    kernel = Fl._laplace_preconditioner((1, 4, 4, 3, 3))
+    # smallest nonzero mode of the remaining axes: min(4 sin^2(pi/4),
+    # 4 sin^2(pi/3)) = 2
+    assert np.all(np.isfinite(kernel))
+    assert np.max(kernel) <= 0.5 + 1e-12
 
 
 def test_flow_config_validation():

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from thetalab import calibration as C
 from thetalab import lattice as La
 from thetalab import liegroup as lg
+from thetalab import spectral as S
 from tests.conftest import asd_fluxes, sd_fluxes
 
 
@@ -207,3 +209,89 @@ def test_field_file_roundtrip(tmp_path, asd_field):
     assert back.geometry.dims == asd_field.geometry.dims
     assert back.geometry.lengths == asd_field.geometry.lengths
     assert back.geometry.model.label == asd_field.geometry.model.label
+
+
+# --- SU(2)-only links ----------------------------------------------------------------
+
+def test_rank_three_links_rejected(tmp_path, small_t4_geometry):
+    links = lg.identity_like(3, (4,) + small_t4_geometry.dims)
+    with pytest.raises(ValueError):
+        La.GaugeField(small_t4_geometry, links)
+    path = str(tmp_path / "r3.json")
+    field = La.trivial_field(small_t4_geometry)
+    La.save_field(field, path)
+    with open(path) as fh:
+        obj = json.load(fh)
+    obj["links"] = [np.real(links).tolist(), np.imag(links).tolist()]
+    with open(path, "w") as fh:
+        json.dump(obj, fh)
+    with pytest.raises(ValueError):
+        La.load_field(path)
+
+
+# --- clover leaves -------------------------------------------------------------------
+
+def random_nonabelian_field(seed):
+    geom = La.LatticeGeometry((3, 4, 3, 5), (1.0, 2.0, 1.5, 1.0),
+                              C.four_manifold_model())
+    from thetalab.flow import perturb
+    return perturb(La.trivial_field(geom), 0.5, seed=seed)
+
+
+def test_clover_field_matches_explicit_leaves():
+    field = random_nonabelian_field(seed=21)
+    dims = field.geometry.dims
+    d = lg.dagger
+
+    def link(axis, x, mu, nu, dmu, dnu):
+        pos = list(x)
+        pos[mu] += dmu
+        pos[nu] += dnu
+        return field.links[(axis,) + tuple(p % n for p, n in zip(pos, dims))]
+
+    for mu, nu, x in ((0, 1, (0, 0, 0, 0)), (1, 3, (2, 3, 1, 4)),
+                      (2, 3, (1, 0, 2, 2))):
+        def u(axis, dmu, dnu):
+            return link(axis, x, mu, nu, dmu, dnu)
+        leaves = (
+            u(mu, 0, 0) @ u(nu, 1, 0) @ d(u(mu, 0, 1)) @ d(u(nu, 0, 0)),
+            u(nu, 0, 0) @ d(u(mu, -1, 1)) @ d(u(nu, -1, 0)) @ u(mu, -1, 0),
+            d(u(mu, -1, 0)) @ d(u(nu, -1, -1)) @ u(mu, -1, -1) @ u(nu, 0, -1),
+            d(u(nu, 0, -1)) @ u(mu, 0, -1) @ u(nu, 1, -1) @ d(u(mu, 0, 0)),
+        )
+        want = 0.25 * sum(leaves)
+        got = La.clover_field(field, mu, nu)[x]
+        assert np.max(np.abs(got - want)) < 1e-14, (mu, nu, x)
+
+
+# --- theta residual ------------------------------------------------------------------
+
+def per_eigenspace_residual(field):
+    """sum over the eigenspaces of Q_theta other than -1 of |P_lam F|^2."""
+    dec = S.decompose(field.geometry.model)
+    vec = La.curvature_vector(La.field_strength(field))
+    total = 0.0
+    for lam, proj in zip(dec.eigenvalues, dec.projectors):
+        if abs(lam + 1.0) < 1e-9:
+            continue
+        pv = np.tensordot(proj, vec, axes=(1, 0))
+        total += float(np.sum(lg.killing_inner_batched(pv, pv, 2)))
+    return total * field.geometry.cell_volume
+
+
+def test_theta_residual_matches_per_eigenspace_sum(circle_t4_geometry):
+    from thetalab.flow import perturb
+    for field in (random_nonabelian_field(seed=22),
+                  perturb(La.trivial_field(circle_t4_geometry), 0.1, seed=23)):
+        want = per_eigenspace_residual(field)
+        assert want > 1e-3
+        assert abs(La.theta_residual(field) - want) < 1e-12 * want
+
+
+def test_theta_residual_rejects_unnormalized_model():
+    half = C.CalibratedModel(4, 0.5 * C.four_manifold_model().theta,
+                             label="half_four_manifold")
+    assert abs(S.decompose(half).lambda_min + 0.5) < 1e-12
+    geom = La.LatticeGeometry((2,) * 4, (1.0,) * 4, half)
+    with pytest.raises(ValueError):
+        La.theta_residual(La.trivial_field(geom))

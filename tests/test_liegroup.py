@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -102,7 +104,46 @@ def test_killing_inner_ad_invariance(rng):
         assert abs(lhs - lg.killing_inner(a, b, r)) < 1e-10
 
 
+# --- products -------------------------------------------------------------------
+
+def random_stack(rng, shape, dtype):
+    return (rng.standard_normal(shape)
+            + 1j * rng.standard_normal(shape)).astype(dtype)
+
+
+@pytest.mark.parametrize("dtype,tol", [(np.complex64, 1e-5),
+                                       (np.complex128, 1e-13)])
+def test_mm_matches_matmul_chain(dtype, tol):
+    rng = np.random.default_rng(3)
+    cases = (
+        [(5, 3, 2, 2), (5, 3, 2, 2)],                  # equal shapes
+        [(4, 5, 3, 2, 2), (5, 3, 2, 2), (4, 1, 3, 2, 2)],   # broadcasting
+        [(3, 2, 2), (3, 2, 2), (3, 2, 2), (3, 2, 2)],  # a clover leaf
+        [(4, 3, 3), (4, 3, 3), (1, 3, 3)],             # r = 3 fallback
+    )
+    for shapes in cases:
+        factors = [random_stack(rng, s, dtype) for s in shapes]
+        got = lg.mm(*factors)
+        want = functools.reduce(np.matmul, factors)
+        assert got.dtype == dtype
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) < tol * np.max(np.abs(want))
+
+
 # --- projection -----------------------------------------------------------------
+
+def test_project_su_2x2_matches_general_formula():
+    rng = np.random.default_rng(4)
+    for dtype, tol in ((np.complex64, 1e-6), (np.complex128, 1e-15)):
+        m = random_stack(rng, (7, 3, 2, 2), dtype)
+        anti = 0.5 * (m - lg.dagger(m))
+        want = anti - np.trace(anti, axis1=-2, axis2=-1)[..., None, None] \
+            / 2 * np.eye(2)
+        got = lg.project_su(m)
+        assert got.dtype == dtype
+        assert np.max(np.abs(got - want)) < tol
+
+
 
 def test_project_su_cases(rng):
     h = rng.standard_normal((2, 2))
@@ -125,6 +166,19 @@ def test_unitarize_restores_unitarity(rng):
     u = lg.unitarize(g)
     assert lg.is_unitary(u)
     assert np.max(np.abs(u - g)) < 1e-7
+
+
+def test_unitarize_matches_svd_polar_factor():
+    rng = np.random.default_rng(5)
+    near = lg.exp(lg.random_su(2, rng, (2000,))) \
+        + 1e-8 * rng.standard_normal((2000, 2, 2))
+    far = rng.standard_normal((200, 2, 2)) \
+        + 1j * rng.standard_normal((200, 2, 2))
+    for g in (near, far):
+        u = lg.unitarize(g)
+        assert lg.is_unitary(u)
+        left, _, right = np.linalg.svd(g)
+        assert np.max(np.abs(u - left @ right)) < 1e-12
 
 
 # --- stabilizer classification ----------------------------------------------------

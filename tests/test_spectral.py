@@ -88,6 +88,13 @@ def test_decompose_clustering_ambiguity():
         S.decompose(model, tau_cluster=1.0)
 
 
+def test_decompose_cache_respects_tau_cluster():
+    model = C.CalibratedModel(7, 0.5 * C.g2_form().theta, label="halfphi")
+    assert S.decompose(model).multiplicities == (14, 7)
+    with pytest.raises(S.ClusteringAmbiguityError):
+        S.decompose(model, tau_cluster=1.0)
+
+
 # --- project -------------------------------------------------------------------
 
 def test_project_asd_basis_r4():
