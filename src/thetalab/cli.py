@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass, field as dfield, fields
 from typing import Optional
 
 import numpy as np
@@ -264,13 +263,15 @@ def _cmd_flow(args) -> int:
     man = _manifest(args)
     fieldv = lattice.load_field(args.field)
     flow_kwargs = dict(man.flow)
+    known = {f.name for f in fields(flow.FlowConfig)}
+    unknown = sorted(set(flow_kwargs) - known)
+    if unknown:
+        raise ValueError(f"unknown flow setting(s) in {args.config}: "
+                         + ", ".join(map(repr, unknown)))
     if args.tol is not None:
         flow_kwargs["tol_residual"] = args.tol
     if args.max_iters is not None:
         flow_kwargs["max_iters"] = args.max_iters
-    if args.grad is not None:
-        flow_kwargs["grad_mode"] = {"fd": "finite_difference",
-                                    "analytic": "analytic"}[args.grad]
     cfg = flow.FlowConfig(**flow_kwargs)
     before = lattice.charges(fieldv)
     result, trace = flow.minimize(fieldv, cfg)
@@ -313,7 +314,8 @@ def _cmd_feasible(args) -> int:
             model, kappa_alpha=args.kappa_alpha, kappa_beta=args.kappa_beta,
             vol_y=args.vol_y, degree=degree if degree is not None else 0.0)
     out = {"verdict": str(verdict), "kind": verdict.kind,
-           "case": verdict.case, "warning": verdict.warning}
+           "case": verdict.case, "warning": verdict.warning,
+           "tolerance": spectral.VERDICT_TOL}
     _emit(out, args.json)
     if args.assert_ and verdict.kind == "Empty":
         return EXIT_ASSERT
@@ -409,7 +411,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("field")
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--max-iters", type=int, default=None)
-    p.add_argument("--grad", choices=("fd", "analytic"), default=None)
     p.add_argument("--config", default=None, help="experiment manifest JSON")
     p.add_argument("--out", default=None)
     p.add_argument("--trace", default=None, help="CSV trace path")
@@ -430,17 +431,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_thread_cap() -> None:
-    cap = os.environ.get("CALIB_THREADS")
-    if not cap:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, cap)
-
-
 def main(argv=None) -> int:
-    _apply_thread_cap()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

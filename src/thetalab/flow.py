@@ -12,14 +12,17 @@ from __future__ import annotations
 
 import logging
 import math
+from collections import deque
 from dataclasses import dataclass, field as dfield
-from typing import Dict, List, NamedTuple, Tuple
+from typing import Deque, Dict, List, NamedTuple, Tuple
 
 import numpy as np
 
 from . import liegroup as lg
-from .lattice import (_LEAVES, GaugeField, LatticeGeometry, _leaf_factors,
-                      _orthogonal_weight, _shift2, clover_log, theta_residual)
+from .lattice import (_LEAVES, BigradedCurvature, GaugeField,
+                      LatticeGeometry, _leaf_factors, _orthogonal_weight,
+                      _shift2, curvature_vector, field_strength,
+                      theta_residual)
 
 _LOG = logging.getLogger(__name__)
 
@@ -31,17 +34,12 @@ class FlowConfig:
     armijo_c: float = 1e-4
     armijo_shrink: float = 0.5
     tol_residual: float = 1e-8
-    grad_mode: str = "analytic"   # or "finite_difference"
-    h_fd: float = 1e-5
-    seed: int = 0
 
     def __post_init__(self):
         if self.step_init <= 0 or not (0 < self.armijo_c < 1):
             raise ValueError("invalid flow configuration")
         if self.tol_residual <= 0:
             raise ValueError("tolerances must be positive")
-        if self.grad_mode not in ("analytic", "finite_difference"):
-            raise ValueError(f"unknown grad_mode {self.grad_mode}")
 
 
 @dataclass
@@ -56,8 +54,9 @@ class FlowTrace:
                         self.steps, self.grad_norms))
 
 
-def residual_value(fieldv: GaugeField) -> float:
-    return theta_residual(fieldv)
+def residual_value(fieldv: GaugeField,
+                   curvature: BigradedCurvature | None = None) -> float:
+    return theta_residual(fieldv, curvature)
 
 
 def _pair_list(n: int) -> List[Tuple[int, int]]:
@@ -154,13 +153,6 @@ def _leaf_cache(fieldv: GaugeField) -> List[_PlaneCache]:
             for mu, nu in _pair_list(fieldv.geometry.naxes)]
 
 
-def _log_vector_from_cache(geom: LatticeGeometry,
-                           cache: List[_PlaneCache]) -> np.ndarray:
-    """Per-plane log field strength stack (P, *dims, 2, 2)."""
-    return np.stack([clover_log(geom, pc.clover, pc.mu, pc.nu)
-                     for pc in cache], axis=0)
-
-
 def _jacobian_apply(geom: LatticeGeometry, cache: List[_PlaneCache],
                     xi: np.ndarray) -> np.ndarray:
     """Directional derivative of the log field strength along xi.
@@ -205,21 +197,28 @@ def _jacobian_transpose(geom: LatticeGeometry, cache: List[_PlaneCache],
     return grad
 
 
+def _weighted_curvature(fieldv: GaugeField,
+                        curvature: BigradedCurvature | None) -> np.ndarray:
+    """(W F)_p per site, from the given curvature of fieldv if any."""
+    curv = curvature or field_strength(fieldv)
+    return np.tensordot(_orthogonal_weight(fieldv.geometry.model),
+                        curvature_vector(curv), axes=(1, 0))
+
+
 def residual_gradient(fieldv: GaugeField, mode: str = "analytic",
-                      h_fd: float = 1e-5) -> np.ndarray:
+                      h_fd: float = 1e-5,
+                      curvature: BigradedCurvature | None = None
+                      ) -> np.ndarray:
     """Riemannian gradient of the residual functional, per link.
 
     Returns an su(2)-valued array of the same shape as the links; the
-    descent update is U <- exp(-step * grad) U.
+    descent update is U <- exp(-step * grad) U.  A given curvature must be
+    field_strength(fieldv); it spares rebuilding the clover logarithms.
     """
     if mode == "finite_difference":
         return _gradient_fd(fieldv, h_fd)
-    geom = fieldv.geometry
-    w = _orthogonal_weight(geom.model)
-    cache = _leaf_cache(fieldv)
-    vec = _log_vector_from_cache(geom, cache)
-    gvec = np.tensordot(w, vec, axes=(1, 0))     # (W F)_p per site
-    return _jacobian_transpose(geom, cache, gvec)
+    return _jacobian_transpose(fieldv.geometry, _leaf_cache(fieldv),
+                               _weighted_curvature(fieldv, curvature))
 
 
 class _GaussNewtonOperator:
@@ -232,14 +231,14 @@ class _GaussNewtonOperator:
     precision.
     """
 
-    def __init__(self, fieldv: GaugeField):
+    def __init__(self, fieldv: GaugeField,
+                 curvature: BigradedCurvature | None = None):
         self.geometry = fieldv.geometry
-        w64 = _orthogonal_weight(self.geometry.model)
-        self.w32 = w64.astype(np.complex64)
+        self.w32 = _orthogonal_weight(self.geometry.model).astype(
+            np.complex64)
         cache = _leaf_cache(fieldv)
-        vec = _log_vector_from_cache(self.geometry, cache)
         self.gradient = _jacobian_transpose(
-            self.geometry, cache, np.tensordot(w64, vec, axes=(1, 0)))
+            self.geometry, cache, _weighted_curvature(fieldv, curvature))
         self.fast = [pc.astype(np.complex64) for pc in cache]
 
     def matvec(self, xi: np.ndarray) -> np.ndarray:
@@ -337,67 +336,85 @@ def _precondition(grad: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return np.fft.ifftn(hat, axes=axes)
 
 
-# Residual level at which the quasi-Newton descent hands over to the
-# Gauss-Newton refinement.  Below this level the energy landscape near a
-# minimizer is dominated by the least-squares structure of the residual,
-# where the normal-operator solve converges much faster than any
-# gradient-history method.
+# Residual level below which the loop takes Gauss-Newton directions.  Near a
+# minimizer the energy landscape is dominated by the least-squares structure
+# of the residual, where the normal-operator solve converges much faster
+# than any gradient-history method.
 _GN_SWITCH = 1e-4
+
+# Smallest Armijo trial step before a line search counts as failed
+_TRIAL_FLOOR = 1e-14
+
+
+def _lbfgs_direction(grad: np.ndarray, memory, kernel: np.ndarray,
+                     first_scale: float) -> np.ndarray:
+    """L-BFGS two-loop recursion over the product su(2) algebra.
+
+    memory holds (s, y, 1/<s, y>) triples, oldest first; the inverse-Laplacian
+    smoother is the initial inverse Hessian, scaled by <s, y>/<y, K y> of
+    the newest pair, or by first_scale without history.
+    """
+    q = grad.copy()
+    alphas = []
+    for s, y, rho in reversed(memory):
+        a_i = rho * _dot(s, q)
+        alphas.append(a_i)
+        q -= a_i * y
+    q = _precondition(q, kernel)
+    if memory:
+        s, y, _ = memory[-1]
+        py = _precondition(y, kernel)
+        q *= _dot(s, y) / max(_dot(y, py), 1e-300)
+    else:
+        q *= first_scale
+    for (s, y, rho), a_i in zip(memory, reversed(alphas)):
+        b_i = rho * _dot(y, q)
+        q += (a_i - b_i) * s
+    return -q
 
 
 def minimize(fieldv: GaugeField, cfg: FlowConfig = FlowConfig()
              ) -> Tuple[GaugeField, FlowTrace]:
     """Armijo-safeguarded residual minimization.
 
-    Runs a preconditioned limited-memory quasi-Newton descent until the
-    residual is small enough for the least-squares structure to dominate,
-    then switches to damped Gauss-Newton steps (normal equations solved
-    by conjugate gradients, built from first derivatives of the curvature
-    map only).  Every accepted step must decrease the residual, so the
-    trace is monotone by construction, and every step re-unitarizes the
-    links.
+    Each iteration picks a direction, then backtracks along it over the
+    exponential retraction (re-unitarizing the links) until the Armijo
+    test passes.  The direction is a preconditioned L-BFGS step while the
+    residual is at least _GN_SWITCH, and a damped Gauss-Newton step
+    (normal equations solved by conjugate gradients) once it is below, or
+    once an L-BFGS line search fails while the tolerance is below
+    _GN_SWITCH.  Every accepted step decreases the residual, so the trace
+    is monotone.  An accepted candidate's curvature, built to score it,
+    also serves its gradient.
     """
     trace = FlowTrace()
     current = fieldv.copy()
-    res = residual_value(current)
-    gn_eligible = cfg.grad_mode == "analytic" \
-        and cfg.tol_residual < _GN_SWITCH
-    stop_res = max(cfg.tol_residual, _GN_SWITCH if gn_eligible else 0.0)
-    current, res, used = _descent_phase(current, res, cfg, trace, stop_res)
-    if trace.verdict in ("converged", "stationary") or not gn_eligible:
-        return current, trace
-    if trace.verdict == "max_iters" and used >= cfg.max_iters:
-        return current, trace
-    if res >= cfg.tol_residual:
-        current, res = _gauss_newton_phase(current, res, cfg, trace,
-                                           cfg.max_iters - used)
-    if res < cfg.tol_residual:
-        trace.verdict = "converged"
-    return current, trace
-
-
-def _descent_phase(current: GaugeField, res: float, cfg: FlowConfig,
-                   trace: FlowTrace, stop_res: float
-                   ) -> Tuple[GaugeField, float, int]:
-    """L-BFGS two-loop descent over the product su(r) algebra.
-
-    Runs until the residual drops below ``stop_res``, the line search
-    stagnates, or the iteration budget is spent; fills in the trace and a
-    provisional verdict, and returns the iterate with the iteration count.
-    """
-    memory: List[Tuple[np.ndarray, np.ndarray, float]] = []   # (s, y, rho)
-    max_memory = 12
-    grad = None
+    curv = field_strength(current)
+    res = residual_value(current, curv)
     kernel = _laplace_preconditioner(current.geometry.dims)
-    used = 0
+    memory: Deque[Tuple[np.ndarray, np.ndarray, float]] = deque(maxlen=12)
+    last_step = None        # (s, gradient before s) of the last L-BFGS step
+    newton = False
+    lam, warm, outer = 1e-8, None, 0
 
     for _ in range(cfg.max_iters):
-        if res < stop_res:
-            trace.verdict = "converged" if res < cfg.tol_residual \
-                else "handoff"
+        if res < cfg.tol_residual:
+            trace.verdict = "converged"
             break
-        if grad is None:
-            grad = residual_gradient(current, cfg.grad_mode, cfg.h_fd)
+        newton = newton or res < _GN_SWITCH
+        if newton:
+            memory.clear()
+            last_step = None
+            op = _GaussNewtonOperator(current, curv)
+            grad = op.gradient
+        else:
+            grad = residual_gradient(current, curvature=curv)
+            if last_step is not None:
+                s_vec, y_vec = last_step[0], grad - last_step[1]
+                sy = _dot(s_vec, y_vec)
+                if sy > 1e-12 * math.sqrt(max(_dot(s_vec, s_vec), 0.0)) \
+                        * math.sqrt(max(_dot(y_vec, y_vec), 0.0)):
+                    memory.append((s_vec, y_vec, 1.0 / sy))
         gnorm = math.sqrt(max(_dot(grad, grad), 0.0))
         if gnorm < 1e-16:
             trace.verdict = "stationary"
@@ -405,130 +422,53 @@ def _descent_phase(current: GaugeField, res: float, cfg: FlowConfig,
             trace.steps.append(0.0)
             trace.grad_norms.append(gnorm)
             break
-        # L-BFGS two-loop recursion
-        q = grad.copy()
-        alphas = []
-        for s, y, rho in reversed(memory):
-            a_i = rho * _dot(s, q)
-            alphas.append(a_i)
-            q -= a_i * y
-        q = _precondition(q, kernel)
-        if memory:
-            s, y, _ = memory[-1]
-            py = _precondition(y, kernel)
-            q *= _dot(s, y) / max(_dot(y, py), 1e-300)
+        if newton:
+            cap = min(150 + 150 * outer, 800)
+            direction = _solve_normal_equations(op, grad, lam, cap, warm)
         else:
-            q *= cfg.step_init / max(gnorm, 1e-300)
-        for (s, y, rho), a_i in zip(memory, reversed(alphas)):
-            b_i = rho * _dot(y, q)
-            q += (a_i - b_i) * s
-        direction = -q
+            direction = _lbfgs_direction(grad, memory, kernel,
+                                         cfg.step_init / max(gnorm, 1e-300))
         slope = _dot(grad, direction)
         if slope >= 0:   # not a descent direction; fall back to steepest
             direction = -grad
             slope = -gnorm * gnorm
             memory.clear()
-        accepted = False
         trial = 1.0
-        while trial > 1e-14:
+        while trial > _TRIAL_FLOOR:
             xi = trial * direction
             cand_links = lg.unitarize(lg.mm(lg.exp(xi), current.links))
             cand = GaugeField(current.geometry, cand_links, current.twist)
-            cand_res = residual_value(cand)
+            cand_curv = field_strength(cand)
+            cand_res = residual_value(cand, cand_curv)
             if cand_res <= res + cfg.armijo_c * trial * slope:
-                new_grad = residual_gradient(cand, cfg.grad_mode, cfg.h_fd)
-                s_vec = xi
-                y_vec = new_grad - grad
-                sy = _dot(s_vec, y_vec)
-                if sy > 1e-12 * math.sqrt(max(_dot(s_vec, s_vec), 0.0)) \
-                        * math.sqrt(max(_dot(y_vec, y_vec), 0.0)):
-                    memory.append((s_vec, y_vec, 1.0 / sy))
-                    if len(memory) > max_memory:
-                        memory.pop(0)
-                current = cand
-                res = cand_res
-                grad = new_grad
-                accepted = True
+                current, curv, res = cand, cand_curv, cand_res
                 break
             trial *= cfg.armijo_shrink
-        used += 1
+        accepted = trial > _TRIAL_FLOOR
         trace.residuals.append(res)
         trace.steps.append(trial if accepted else 0.0)
         trace.grad_norms.append(gnorm)
-        if not accepted:
+        if newton:
+            outer += 1
+            _LOG.debug("refine %d: residual %.3e cap %d step %.2g",
+                       outer, res, cap, trial)
+            if accepted:
+                lam, warm = 1e-8, xi
+            else:
+                lam, warm = max(lam, 1e-9) * 30.0, None
+            if lam > 1.0:
+                trace.verdict = "stagnated"
+                break
+        elif accepted:
+            last_step = (xi, grad)
+        elif cfg.tol_residual < _GN_SWITCH:
+            newton = True
+        else:
             trace.verdict = "stagnated"
             break
     else:
-        trace.verdict = "max_iters"
-    if res < cfg.tol_residual and trace.verdict != "stationary":
-        trace.verdict = "converged"
-    return current, res, used
-
-
-def _gauss_newton_phase(current: GaugeField, res: float, cfg: FlowConfig,
-                        trace: FlowTrace, budget: int
-                        ) -> Tuple[GaugeField, float]:
-    """Damped Gauss-Newton refinement of a near-minimizing field.
-
-    Each outer iteration solves the damped normal equations
-    (J^T W J + lam) xi = -grad by preconditioned conjugate gradients with
-    a growing iteration cap, takes the step through the exponential
-    retraction, and accepts only under an Armijo decrease test.
-    Rejections inflate the damping; the phase ends on convergence, a
-    spent budget, or damping escalated past O(1), which is reported as
-    stagnation.
-    """
-    lam = 1e-8
-    outer = 0
-    warm: np.ndarray | None = None
-    while outer < budget:
-        if res < cfg.tol_residual:
-            trace.verdict = "converged"
-            return current, res
-        op = _GaussNewtonOperator(current)
-        grad = op.gradient
-        gnorm = math.sqrt(max(_dot(grad, grad), 0.0))
-        if gnorm < 1e-16:
-            trace.verdict = "stationary"
-            trace.residuals.append(res)
-            trace.steps.append(0.0)
-            trace.grad_norms.append(gnorm)
-            return current, res
-        cap = min(150 + 150 * outer, 800)
-        direction = _solve_normal_equations(op, grad, lam, cap, warm)
-        slope = _dot(grad, direction)
-        if slope >= 0:
-            direction = -grad
-            slope = -gnorm * gnorm
-        accepted = False
-        trial = 1.0
-        while trial > 1e-12:
-            xi = (trial * direction).astype(complex)
-            cand_links = lg.unitarize(lg.mm(lg.exp(xi), current.links))
-            cand = GaugeField(current.geometry, cand_links, current.twist)
-            cand_res = residual_value(cand)
-            if cand_res <= res + cfg.armijo_c * trial * slope:
-                current, res = cand, cand_res
-                accepted = True
-                break
-            trial *= cfg.armijo_shrink
-        outer += 1
-        trace.residuals.append(res)
-        trace.steps.append(trial if accepted else 0.0)
-        trace.grad_norms.append(gnorm)
-        _LOG.debug("refine %d: residual %.3e cap %d step %.2g",
-                   outer, res, cap, trial)
-        if accepted:
-            lam = 1e-8
-            warm = trial * direction
-        else:
-            warm = None
-            lam = max(lam, 1e-9) * 30.0
-            if lam > 1.0:
-                trace.verdict = "stagnated"
-                return current, res
-    trace.verdict = "max_iters"
-    return current, res
+        trace.verdict = "converged" if res < cfg.tol_residual else "max_iters"
+    return current, trace
 
 
 def _solve_normal_equations(op: _GaussNewtonOperator, grad: np.ndarray,

@@ -106,7 +106,7 @@ class GaugeField:
         return GaugeField(self.geometry, self.links.copy(), self.twist)
 
     def check_unitarity(self) -> float:
-        dev = np.abs(self.links @ lg.dagger(self.links) - np.eye(2))
+        dev = np.abs(lg.mm(self.links, lg.dagger(self.links)) - np.eye(2))
         return float(np.max(dev))
 
 
@@ -454,7 +454,16 @@ def save_field(fieldv: GaugeField, path: str, seed: int | None = None,
         json.dump(obj, fh)
 
 
+# Largest max |U U^dagger - 1| that load_field accepts
+LOAD_UNITARITY_TOL = 1e-10
+
+
 def load_field(path: str) -> GaugeField:
+    """Read a field written by save_field.
+
+    Raises ValueError unless every link is finite and unitary to
+    LOAD_UNITARITY_TOL.
+    """
     with open(path) as fh:
         obj = json.load(fh)
     model = catalog(obj["model"])
@@ -464,4 +473,11 @@ def load_field(path: str) -> GaugeField:
     twist = None
     if obj.get("fluxes") is not None:
         twist = TransitionTwist(tuple(map(tuple, obj["fluxes"])))
-    return GaugeField(geom, links, twist)
+    fieldv = GaugeField(geom, links, twist)
+    if not np.all(np.isfinite(links)):
+        raise ValueError(f"{path}: links hold non-finite entries")
+    dev = fieldv.check_unitarity()
+    if dev > LOAD_UNITARITY_TOL:
+        raise ValueError(f"{path}: links deviate from unitarity by {dev:.3g}, "
+                         f"more than {LOAD_UNITARITY_TOL:g}")
+    return fieldv

@@ -191,6 +191,11 @@ class Verdict:
         return s
 
 
+# Charges within this distance of zero, or of the case (b) threshold, count
+# as equal to it: lattice charges carry roundoff of order 1e-17 per site
+VERDICT_TOL = 1e-9
+
+
 def vanishing_verdict(kappa_alpha: float, kappa_beta: float, vol_y: float,
                       eta_beta: float) -> Verdict:
     """Moduli emptiness tests from the charge/eigenvalue arithmetic.
@@ -198,21 +203,22 @@ def vanishing_verdict(kappa_alpha: float, kappa_beta: float, vol_y: float,
     Cases: (a) kappa_alpha = 0 with eta_beta > -1; (b) kappa_alpha > 0,
     eta_beta > -1, and kappa_alpha below the threshold
     vol_y * kappa_beta * (-1 - 1/eta_beta); (c) kappa_alpha < 0.
-    Boundary equality in (b) is reported Possible with a warning.
+    Boundary equality in (b) is reported Possible with a warning.  Every
+    comparison allows VERDICT_TOL.
     """
     if not (-1.0 <= eta_beta < 0.0):
         raise ValueError(f"eta_beta must lie in [-1, 0), got {eta_beta}")
-    if kappa_alpha < 0:
+    if kappa_alpha < -VERDICT_TOL:
         return Verdict("Empty", "c")
-    if kappa_alpha == 0:
+    if kappa_alpha <= VERDICT_TOL:
         if eta_beta > -1.0:
             return Verdict("Empty", "a")
         return Verdict("Possible", None)
     if eta_beta > -1.0:
         threshold = vol_y * kappa_beta * (-1.0 - 1.0 / eta_beta)
-        if kappa_alpha < threshold:
-            return Verdict("Empty", "b")
-        if kappa_alpha == threshold:
+        if abs(kappa_alpha - threshold) <= VERDICT_TOL:
             return Verdict("Possible", None,
                            warning="boundary equality in case (b) threshold")
+        if kappa_alpha < threshold:
+            return Verdict("Empty", "b")
     return Verdict("Possible", None)

@@ -174,12 +174,51 @@ def test_feasible_possible(tmp_path):
     assert read_json(out)["kind"] == "Possible"
 
 
-def test_thread_cap_env(monkeypatch):
-    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-    monkeypatch.setenv("CALIB_THREADS", "1")
-    cli._apply_thread_cap()
-    import os
-    assert os.environ["OMP_NUM_THREADS"] == "1"
+def test_feasible_reports_its_tolerance(tmp_path):
+    out = str(tmp_path / "feas3.json")
+    assert run(["feasible", "--model", "circle_t4", "--kappa-alpha=-1e-12",
+                "--kappa-beta", "2", "--assert", "--json", out]) == cli.EXIT_OK
+    rep = read_json(out)
+    assert rep["kind"] == "Possible"
+    assert rep["tolerance"] == 1e-9
+
+
+# --- flow options and field validation ------------------------------------------------
+
+def test_flow_rejects_unknown_manifest_keys(small_instanton, tmp_path, capsys):
+    for key in ("bogus", "grad_mode"):
+        manifest = str(tmp_path / f"{key}.json")
+        with open(manifest, "w") as fh:
+            json.dump({"flow": {key: 1}}, fh)
+        assert run(["flow", small_instanton, "--config", manifest]) \
+            == cli.EXIT_USAGE
+        assert repr(key) in capsys.readouterr().err
+
+
+def test_flow_has_no_grad_flag(small_instanton):
+    assert run(["flow", small_instanton, "--grad", "fd"]) == cli.EXIT_USAGE
+
+
+def _corrupt_link(path, value):
+    """Set the real part of one entry of one link."""
+    obj = read_json(path)
+    real = np.array(obj["links"][0])
+    real[1, 0, 0, 0, 0, 0, 0] = value
+    obj["links"][0] = real.tolist()
+    with open(path, "w") as fh:
+        json.dump(obj, fh)
+
+
+def test_charges_rejects_non_finite_links(small_instanton, tmp_path):
+    _corrupt_link(small_instanton, float("nan"))
+    out = str(tmp_path / "ch.json")
+    assert run(["charges", small_instanton, "--json", out]) == cli.EXIT_USAGE
+
+
+def test_flow_rejects_non_unitary_links(small_instanton, tmp_path):
+    _corrupt_link(small_instanton, 5.0)
+    out = str(tmp_path / "flow.json")
+    assert run(["flow", small_instanton, "--json", out]) == cli.EXIT_USAGE
 
 
 def test_flow_diagnostics_go_to_logging(tmp_path, caplog, capsys):

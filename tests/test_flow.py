@@ -197,6 +197,73 @@ def test_minimize_trace_is_consistent():
     assert all(g >= 0.0 for g in trace.grad_norms)
 
 
+def test_minimize_builds_each_curvature_once(monkeypatch):
+    """Every clover logarithm of a run comes from scoring a link
+    configuration: the gradients and Gauss-Newton operators reuse the
+    curvature of the accepted candidate."""
+    calls = {"log": 0, "residual": 0}
+    log, residual_value = lg.log, Fl.residual_value
+
+    def counting_log(*args, **kwargs):
+        calls["log"] += 1
+        return log(*args, **kwargs)
+
+    def counting_residual(*args, **kwargs):
+        calls["residual"] += 1
+        return residual_value(*args, **kwargs)
+
+    monkeypatch.setattr(lg, "log", counting_log)
+    monkeypatch.setattr(Fl, "residual_value", counting_residual)
+    field = small_pullback(fluxes=sd_fluxes())
+    Fl.minimize(field, Fl.FlowConfig(max_iters=21, tol_residual=1e-8))
+    n_planes = 10
+    assert calls["residual"] > 21
+    assert calls["log"] == n_planes * calls["residual"]
+
+
+def _count_gauss_newton_builds(monkeypatch):
+    calls = []
+    init = Fl._GaussNewtonOperator.__init__
+
+    def counting_init(self, *args, **kwargs):
+        calls.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Fl._GaussNewtonOperator, "__init__", counting_init)
+    return calls
+
+
+def test_failed_lbfgs_search_hands_over_to_gauss_newton(monkeypatch):
+    """The self-dual start stalls the L-BFGS line search at iteration 20,
+    far above _GN_SWITCH; with a tolerance below _GN_SWITCH the loop goes
+    on with Gauss-Newton directions."""
+    builds = _count_gauss_newton_builds(monkeypatch)
+    field = small_pullback(fluxes=sd_fluxes())
+    _, trace = Fl.minimize(field, Fl.FlowConfig(max_iters=21,
+                                                tol_residual=1e-8))
+    assert trace.residuals[-1] > Fl._GN_SWITCH
+    assert trace.steps[19] == 0.0
+    assert len(trace.residuals) == 21 and len(builds) == 1
+    assert trace.verdict == "max_iters"
+
+
+def test_failed_lbfgs_search_stagnates_above_switch(monkeypatch):
+    builds = _count_gauss_newton_builds(monkeypatch)
+    field = small_pullback(fluxes=sd_fluxes())
+    _, trace = Fl.minimize(field, Fl.FlowConfig(max_iters=25,
+                                                tol_residual=1e-3))
+    assert trace.verdict == "stagnated"
+    assert len(trace.residuals) == 20 and trace.steps[-1] == 0.0
+    assert not builds
+
+
+def test_flow_config_has_no_gradient_mode_or_seed():
+    for key, value in (("grad_mode", "finite_difference"), ("h_fd", 1e-5),
+                       ("seed", 0)):
+        with pytest.raises(TypeError):
+            Fl.FlowConfig(**{key: value})
+
+
 def test_laplace_preconditioner_one_site_axis():
     kernel = Fl._laplace_preconditioner((1, 4, 4, 3, 3))
     # smallest nonzero mode of the remaining axes: min(4 sin^2(pi/4),

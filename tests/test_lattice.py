@@ -211,6 +211,33 @@ def test_field_file_roundtrip(tmp_path, asd_field):
     assert back.geometry.model.label == asd_field.geometry.model.label
 
 
+@pytest.mark.parametrize("value",
+                         [float("nan"), float("inf"), 5.0, 1.0 + 1e-9])
+def test_load_field_rejects_non_finite_or_non_unitary_links(tmp_path, value):
+    path = str(tmp_path / "bad.json")
+    field = La.trivial_field(La.LatticeGeometry((2, 2, 2, 2), (1.0,) * 4,
+                                                C.four_manifold_model()))
+    La.save_field(field, path)
+    with open(path) as fh:
+        obj = json.load(fh)
+    real = np.array(obj["links"][0])
+    real[0, 0, 0, 0, 0, 0, 0] = value
+    obj["links"][0] = real.tolist()
+    with open(path, "w") as fh:
+        json.dump(obj, fh)
+    with pytest.raises(ValueError):
+        La.load_field(path)
+
+
+def test_load_field_accepts_roundoff_in_unitarity(tmp_path):
+    path = str(tmp_path / "near.json")
+    field = La.trivial_field(La.LatticeGeometry((2, 2, 2, 2), (1.0,) * 4,
+                                                C.four_manifold_model()))
+    field.links[0, 0, 0, 0, 0, 0, 0] += 1e-13
+    La.save_field(field, path)
+    assert La.load_field(path).links.tobytes() == field.links.tobytes()
+
+
 # --- SU(2)-only links ----------------------------------------------------------------
 
 def test_rank_three_links_rejected(tmp_path, small_t4_geometry):

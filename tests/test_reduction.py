@@ -187,3 +187,20 @@ def test_field_feasibility_on_pullback(asd_field, circle_t4_geometry):
                                   R.FlatTwist.trivial(1))
     v = R.field_feasibility(field)
     assert v.kind == "Possible"
+
+
+def test_field_feasibility_ignores_roundoff_in_kappa_alpha():
+    """A 1e-8 perturbation of a U(1) pullback leaves kappa_alpha zero up to
+    roundoff of either sign; the verdict must not depend on that sign."""
+    from thetalab.flow import perturb
+    field_x = La.constant_curvature_abelian(
+        La.LatticeGeometry((3,) * 4, (1.0,) * 4, C.four_manifold_model()),
+        asd_fluxes())
+    geom = La.LatticeGeometry((2, 2, 2, 3, 3, 3, 3), (1.0,) * 7,
+                              C.catalog("g2_t3xhk"))
+    base = R.pullback_connection(field_x, geom,
+                                 R.FlatTwist("PicardU1", angles=(0.7,) * 3))
+    for seed in range(6):
+        field = perturb(base, 1e-8, seed)
+        assert abs(La.charges(field).kappa_alpha) < 1e-15
+        assert R.field_feasibility(field).kind == "Possible", seed

@@ -175,6 +175,17 @@ def test_vanishing_verdict_case_b_threshold():
     assert boundary.kind == "Possible" and boundary.warning
 
 
+def test_vanishing_verdict_tolerates_roundoff():
+    # kappa_alpha of a perturbed lattice pullback is zero up to ~1e-17
+    assert S.vanishing_verdict(-4.5e-18, 5.0, 1.0, -1.0).kind == "Possible"
+    assert str(S.vanishing_verdict(4.5e-18, 5.0, 1.0, -0.5)) == "Empty(a)"
+    assert str(S.vanishing_verdict(-2e-9, 5.0, 1.0, -1.0)) == "Empty(c)"
+    for kappa_alpha in (5.0 - 1e-12, 5.0 + 1e-12):
+        boundary = S.vanishing_verdict(kappa_alpha, 5.0, 1.0, -0.5)
+        assert boundary.kind == "Possible" and boundary.warning
+    assert str(S.vanishing_verdict(5.0 - 2e-9, 5.0, 1.0, -0.5)) == "Empty(b)"
+
+
 def test_vanishing_verdict_domain():
     with pytest.raises(ValueError):
         S.vanishing_verdict(0.0, 1.0, 1.0, 0.0)
