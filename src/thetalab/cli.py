@@ -79,7 +79,6 @@ class ExperimentManifest:
     dims: Optional[tuple] = None
     lengths: Optional[tuple] = None
     fluxes: Optional[str] = None
-    twist: Optional[dict] = None
     flow: dict = dfield(default_factory=dict)
     seed: int = 0
     outputs: dict = dfield(default_factory=dict)
@@ -88,8 +87,12 @@ class ExperimentManifest:
     def load(path: str) -> "ExperimentManifest":
         with open(path) as fh:
             raw = json.load(fh)
+        unknown = sorted(set(raw) - {f.name for f in fields(ExperimentManifest)})
+        if unknown:
+            raise ValueError(f"unknown manifest key(s) in {path}: "
+                             + ", ".join(map(repr, unknown)))
         man = ExperimentManifest()
-        for key in ("model", "fluxes", "twist", "flow", "seed", "outputs"):
+        for key in ("model", "fluxes", "flow", "seed", "outputs"):
             if key in raw:
                 setattr(man, key, raw[key])
         if "dims" in raw:
@@ -202,7 +205,7 @@ def _cmd_twist(args) -> int:
         out_field = reduction.twist_map(field_x, twist)
     lattice.save_field(out_field, args.out)
     _emit({"written": args.out, "twist_kind": twist.kind,
-           "central": bool(twist.is_central(out_field.rank))}, args.json)
+           "central": bool(twist.is_central())}, args.json)
     return EXIT_OK
 
 
@@ -211,7 +214,7 @@ def _cmd_normalize(args) -> int:
     normalized, transform = transport.gauge_normalize(fieldv)
     if args.out:
         lattice.save_field(normalized, args.out)
-    dev = float(np.abs(transform - np.eye(fieldv.rank)).max())
+    dev = float(np.abs(transform - np.eye(2)).max())
     _emit({"written": args.out, "max_transform_deviation_from_identity": dev},
           args.json)
     return EXIT_OK

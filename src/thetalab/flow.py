@@ -81,7 +81,7 @@ class _PlaneCache(NamedTuple):
 
     mu: int
     nu: int
-    clover: np.ndarray | None
+    clover: np.ndarray
     p_stack: np.ndarray
     s_stack: np.ndarray
     specs: Tuple[Tuple[int, Tuple[int, int]], ...]
@@ -94,7 +94,7 @@ class _PlaneCache(NamedTuple):
 
     @staticmethod
     def build(fieldv: GaugeField, mu: int, nu: int) -> "_PlaneCache":
-        eye = lg.identity_like(2, fieldv.geometry.dims)
+        eye = lg.identity_like(fieldv.geometry.dims)
         p_list, s_list, sgns, specs, leaves = [], [], [], [], []
         for leaf in _LEAVES:
             mats = _leaf_factors(fieldv, mu, nu, leaf)
@@ -138,14 +138,6 @@ class _PlaneCache(NamedTuple):
         tr(Dlog(C, E) g) = tr(E K)."""
         return (self.phi12 * g + self.c1 * lg.mm(self.p1, g, self.p1)
                 + self.c2 * lg.mm(self.p2, g, self.p2))
-
-    def astype(self, dtype) -> "_PlaneCache":
-        """Copy of the linearization data in another precision; the clover
-        itself is not needed for it and is dropped."""
-        return self._replace(clover=None, **{
-            name: getattr(self, name).astype(dtype)
-            for name in ("p_stack", "s_stack", "phi12", "c1", "c2", "p1",
-                         "p2")})
 
 
 def _leaf_cache(fieldv: GaugeField) -> List[_PlaneCache]:
@@ -221,60 +213,102 @@ def residual_gradient(fieldv: GaugeField, mode: str = "analytic",
                                _weighted_curvature(fieldv, curvature))
 
 
+# Real basis of su(2): i sigma_2, i sigma_1, i sigma_3
+_SU2_BASIS = (np.array([[0, 1], [-1, 0]], dtype=complex),
+              np.array([[0, 1j], [1j, 0]], dtype=complex),
+              np.array([[1j, 0], [0, -1j]], dtype=complex))
+
+
+def _su2_coords(m: np.ndarray) -> np.ndarray:
+    """Coordinates of project_su(m) in _SU2_BASIS, on a new axis 1.
+
+    Maps a stack of shape (n, *dims, 2, 2) to shape (n, 3, *dims).  The
+    basis is orthogonal with squared Frobenius norm 2, so these coordinates
+    are those of the Frobenius-orthogonal projection onto su(2).
+    """
+    m01, m10 = m[..., 0, 1], m[..., 1, 0]
+    return np.stack([0.5 * (m01.real - m10.real),
+                     0.5 * (m01.imag + m10.imag),
+                     0.5 * (m[..., 0, 0].imag - m[..., 1, 1].imag)], axis=1)
+
+
+def _su2_matrices(x: np.ndarray) -> np.ndarray:
+    """Inverse of _su2_coords on su(2), in complex64: (n, 3, *dims) ->
+    (n, *dims, 2, 2)."""
+    x0, x1, x2 = x[:, 0], x[:, 1], x[:, 2]
+    out = np.zeros((x.shape[0],) + x.shape[2:] + (2, 2), dtype=np.complex64)
+    out.real[..., 0, 1], out.imag[..., 0, 1] = x0, x1
+    out.real[..., 1, 0], out.imag[..., 1, 0] = -x0, x1
+    out.imag[..., 0, 0], out.imag[..., 1, 1] = x2, -x2
+    return out
+
+
+def _plane_blocks(pc: _PlaneCache, scale: float) -> np.ndarray:
+    """One plane's linearization as real 3x3 blocks on su(2) coordinates.
+
+    blocks[i, g, j] is coordinate i of project_su(Dlog(C, scale * sum_t
+    P_t e_j S_t)), the sum running over the factors of link group g (in the
+    order of pc.groups): the response of the plane's log curvature at a
+    site to direction e_j of _SU2_BASIS on the links of that group.  Dlog
+    is self-adjoint under the trace form, so the transposed blocks, times
+    2 cellvol, are _jacobian_transpose in the same coordinates.
+    """
+    cols = []
+    for e in _SU2_BASIS:
+        m = lg.mm(pc.p_stack, e, pc.s_stack)
+        grouped = np.stack([np.sum(m[idxs], axis=0)
+                            for idxs in pc.groups.values()], axis=0)
+        cols.append(_su2_coords(pc.frechet(scale * grouped)))
+    return np.moveaxis(np.stack(cols, axis=2), 1, 0)
+
+
 class _GaussNewtonOperator:
     """Normal operator xi -> J^T W J xi of the weighted curvature map.
 
-    Keeps single-precision copies of the per-plane linearization data in
-    ``fast``, so that a matrix-vector product is one forward and one
-    adjoint pass of the shared linearization in complex64.  Used only
-    inside the inner linear solves; gradients and residuals stay in double
-    precision.
+    Keeps each plane's linearization as real 3x3 blocks on su(2)
+    coordinates in ``fast`` (see ``_plane_blocks``), in single precision,
+    so that a matrix-vector product is one forward and one transposed
+    contraction with them.  Used only inside the inner linear solves;
+    gradients and residuals stay in double precision.
     """
 
     def __init__(self, fieldv: GaugeField,
                  curvature: BigradedCurvature | None = None):
         self.geometry = fieldv.geometry
-        self.w32 = _orthogonal_weight(self.geometry.model).astype(
-            np.complex64)
+        self.w32 = _orthogonal_weight(self.geometry.model).astype(np.float32)
         cache = _leaf_cache(fieldv)
         self.gradient = _jacobian_transpose(
             self.geometry, cache, _weighted_curvature(fieldv, curvature))
-        self.fast = [pc.astype(np.complex64) for pc in cache]
+        a = self.geometry.spacings
+        self.planes = [(pc.mu, pc.nu, list(pc.groups)) for pc in cache]
+        self.fast = [np.ascontiguousarray(
+            _plane_blocks(pc, 0.25 / (a[pc.mu] * a[pc.nu])), np.float32)
+            for pc in cache]
 
     def matvec(self, xi: np.ndarray) -> np.ndarray:
-        df = _jacobian_apply(self.geometry, self.fast,
-                             xi.astype(np.complex64, copy=False))
-        return _jacobian_transpose(self.geometry, self.fast,
-                                   np.tensordot(self.w32, df, axes=(1, 0)))
-
-
-def _su_basis(r: int) -> List[np.ndarray]:
-    basis = []
-    for i in range(r):
-        for j in range(i + 1, r):
-            m = np.zeros((r, r), dtype=complex)
-            m[i, j] = 1.0
-            m[j, i] = -1.0
-            basis.append(m)
-            m = np.zeros((r, r), dtype=complex)
-            m[i, j] = 1j
-            m[j, i] = 1j
-            basis.append(m)
-    for i in range(r - 1):
-        m = np.zeros((r, r), dtype=complex)
-        m[i, i] = 1j
-        m[i + 1, i + 1] = -1j
-        basis.append(m)
-    return basis
+        """B xi, in complex64."""
+        x = _su2_coords(xi).astype(np.float32)
+        df = np.stack([
+            np.einsum("igj...,gj...->i...", blocks, np.stack(
+                [_shift2(x[axis], mu + 1, nu + 1, d) for axis, d in specs]))
+            for (mu, nu, specs), blocks in zip(self.planes, self.fast)])
+        cot = np.tensordot(self.w32, df, axes=(1, 0))
+        grad = np.zeros_like(x)
+        for (mu, nu, specs), blocks, cot_p in zip(self.planes, self.fast,
+                                                  cot):
+            z = np.einsum("igj...,i...->gj...", blocks, cot_p)
+            for (axis, d), z_g in zip(specs, z):
+                grad[axis] += _shift2(z_g, mu + 1, nu + 1, (-d[0], -d[1]))
+        grad *= 2.0 * self.geometry.cell_volume
+        return _su2_matrices(grad)
 
 
 def _gradient_fd(fieldv: GaugeField, h: float) -> np.ndarray:
     """Central-difference Riemannian gradient; oracle for small lattices."""
     geom = fieldv.geometry
-    r = fieldv.rank
-    basis = _su_basis(r)
+    basis = _SU2_BASIS
     # Gram matrix of the basis under the scaled trace inner product
-    gram = np.array([[lg.killing_inner(a, b, r) for b in basis] for a in basis])
+    gram = np.array([[lg.killing_inner(a, b) for b in basis] for a in basis])
     gram_inv = np.linalg.inv(gram)
     grad = np.zeros_like(fieldv.links)
     it = np.ndindex((geom.naxes,) + geom.dims)
@@ -293,17 +327,16 @@ def _gradient_fd(fieldv: GaugeField, h: float) -> np.ndarray:
     return grad
 
 
-def gradient_norm(grad: np.ndarray, r: int) -> float:
-    return math.sqrt(abs(float(np.sum(lg.killing_inner_batched(grad, grad, r)))))
+def gradient_norm(grad: np.ndarray) -> float:
+    return math.sqrt(abs(float(np.sum(lg.killing_inner_batched(grad, grad)))))
 
 
 def perturb(fieldv: GaugeField, amplitude: float, seed: int) -> GaugeField:
-    """Multiply every link by exp(amplitude * random su(r) element)."""
+    """Multiply every link by exp(amplitude * random su(2) element)."""
     if amplitude == 0.0:
         return fieldv.copy()
     rng = np.random.default_rng(seed)
-    noise = lg.random_su(fieldv.rank, rng,
-                         (fieldv.geometry.naxes,) + fieldv.geometry.dims)
+    noise = lg.random_su(rng, (fieldv.geometry.naxes,) + fieldv.geometry.dims)
     new_links = lg.exp(amplitude * noise) @ fieldv.links
     return GaugeField(fieldv.geometry, new_links, fieldv.twist)
 

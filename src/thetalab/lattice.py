@@ -67,9 +67,8 @@ class LatticeGeometry:
 
 @dataclass(frozen=True)
 class TransitionTwist:
-    """Abelian bundle data: integer fluxes and the diagonal U(1) embedding."""
+    """Abelian bundle data: the integer fluxes of the diagonal U(1)."""
     fluxes: Tuple[Tuple[int, ...], ...]
-    charge_embedding: Tuple[int, ...] = (1, -1)
 
     def __post_init__(self):
         n = len(self.fluxes)
@@ -98,10 +97,6 @@ class GaugeField:
             raise ValueError(f"links shape {self.links.shape} does not match "
                              f"geometry {expected}")
 
-    @property
-    def rank(self) -> int:
-        return self.links.shape[-1]
-
     def copy(self) -> "GaugeField":
         return GaugeField(self.geometry, self.links.copy(), self.twist)
 
@@ -111,12 +106,12 @@ class GaugeField:
 
 
 def trivial_field(geom: LatticeGeometry) -> GaugeField:
-    links = lg.identity_like(2, (geom.naxes,) + geom.dims)
+    links = lg.identity_like((geom.naxes,) + geom.dims)
     return GaugeField(geom, links, TransitionTwist.zero(geom.naxes))
 
 
 def shift(arr: np.ndarray, mu: int, steps: int = 1) -> np.ndarray:
-    """Value at x + steps * e_mu, for site arrays of shape (*dims, r, r)."""
+    """Value at x + steps * e_mu, for site arrays of shape (*dims, 2, 2)."""
     return np.roll(arr, -steps, axis=mu)
 
 
@@ -133,16 +128,16 @@ def constant_curvature_abelian(geom: LatticeGeometry,
 
     For each flux n in the (mu, nu) plane the nu-links acquire the phase
     exp(2 pi i n x_mu / (N_mu N_nu) q) and the mu-links on the last mu-slice
-    absorb the transition factor exp(-2 pi i n x_nu / N_nu q), where q is
-    the diagonal charge embedding.  Every (mu, nu) plaquette then equals
-    exp(2 pi i n / (N_mu N_nu) q) at every site.
+    absorb the transition factor exp(-2 pi i n x_nu / N_nu q), where
+    q = diag(1, -1) embeds U(1) in SU(2).  Every (mu, nu) plaquette then
+    equals exp(2 pi i n / (N_mu N_nu) q) at every site.
     """
     f = np.array(fluxes, dtype=int)
     n = geom.naxes
     if f.shape != (n, n) or np.any(f != -f.T):
         raise ValueError("fluxes must be an antisymmetric n x n integer matrix")
     twist = TransitionTwist(tuple(map(tuple, f.tolist())))
-    q = np.array(twist.charge_embedding)
+    q = np.array((1, -1))
     dims = geom.dims
     # accumulate diagonal phases per link direction
     phases = np.zeros((n,) + dims)  # angle multiplying q on each link
@@ -151,8 +146,7 @@ def constant_curvature_abelian(geom: LatticeGeometry,
             if mu >= nu or f[mu, nu] == 0:
                 continue
             nflux = f[mu, nu]
-            max_phase = 2 * np.pi * abs(nflux) / (dims[mu] * dims[nu]) \
-                * np.max(np.abs(q))
+            max_phase = 2 * np.pi * abs(nflux) / (dims[mu] * dims[nu])
             if max_phase >= np.pi - lg.DELTA_LOG:
                 raise lg.LogBranchError(
                     f"flux {nflux} in plane ({mu},{nu}) puts plaquette phases "
@@ -233,7 +227,7 @@ def clover_log(geom: LatticeGeometry, clover: np.ndarray, mu: int, nu: int
 @dataclass
 class BigradedCurvature:
     geometry: LatticeGeometry
-    F: Dict[Tuple[int, int], np.ndarray]   # (mu < nu, 0-based) -> (*dims, r, r)
+    F: Dict[Tuple[int, int], np.ndarray]   # (mu < nu, 0-based) -> (*dims, 2, 2)
 
     def component(self, mu: int, nu: int) -> np.ndarray:
         if mu < nu:
@@ -252,11 +246,10 @@ class BigradedCurvature:
         return worst
 
     def norm2_density(self) -> np.ndarray:
-        """|F|^2 per site under the rank-scaled trace inner product."""
-        r = next(iter(self.F.values())).shape[-1]
+        """|F|^2 per site under the inner product -4 tr(a b)."""
         out = None
         for p, mat in sorted(self.F.items()):
-            term = lg.killing_inner_batched(mat, mat, r)
+            term = lg.killing_inner_batched(mat, mat)
             out = term if out is None else out + term
         return out
 
@@ -279,7 +272,7 @@ def ym_action(fieldv: GaugeField, curvature: BigradedCurvature | None = None
 
 
 def curvature_vector(curv: BigradedCurvature) -> np.ndarray:
-    """Stack F into shape (n_pairs, *dims, r, r) in lexicographic pair order."""
+    """Stack F into shape (n_pairs, *dims, 2, 2) in lexicographic pair order."""
     pairs = sorted(curv.F)
     return np.stack([curv.F[p] for p in pairs], axis=0)
 
@@ -305,7 +298,7 @@ def theta_residual(fieldv: GaugeField,
     curv = curvature or field_strength(fieldv)
     wf = np.tensordot(_orthogonal_weight(geom.model), curvature_vector(curv),
                       axes=(1, 0))
-    return float(np.sum(lg.killing_inner_batched(wf, wf, 2))) * geom.cell_volume
+    return float(np.sum(lg.killing_inner_batched(wf, wf))) * geom.cell_volume
 
 
 @dataclass(frozen=True)
@@ -421,7 +414,7 @@ def random_gauge_transform(geom: LatticeGeometry, seed: int,
                            scale: float = 1.0) -> np.ndarray:
     """Site-wise random special unitary transformation g(x)."""
     rng = np.random.default_rng(seed)
-    alg = lg.random_su(2, rng, geom.dims, scale=scale)
+    alg = lg.random_su(rng, geom.dims, scale=scale)
     return lg.exp(alg)
 
 
@@ -441,7 +434,7 @@ def save_field(fieldv: GaugeField, path: str, seed: int | None = None,
         "lengths": list(geom.lengths),
         "split": list(geom.split) if geom.split else None,
         "model": geom.model.label,
-        "r": fieldv.rank,
+        "r": 2,
         "fluxes": [list(row) for row in fieldv.twist.fluxes]
         if fieldv.twist else None,
         "seed": seed,

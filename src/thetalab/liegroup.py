@@ -1,6 +1,6 @@
-"""Matrix kernel for u(r)/su(r) and the unitary groups.
+"""Matrix kernel for SU(2) and su(2).
 
-Works on plain complex numpy arrays; the last two axes are the matrix
+Works on plain complex numpy arrays; the last two axes are the 2x2 matrix
 indices so every routine batches over arbitrary leading lattice shapes.
 """
 
@@ -15,9 +15,9 @@ class LogBranchError(ValueError):
     """Eigenvalue too close to -1 for the principal matrix logarithm."""
 
 
-def identity_like(r: int, shape: tuple = ()) -> np.ndarray:
-    out = np.zeros(shape + (r, r), dtype=complex)
-    out[...] = np.eye(r)
+def identity_like(shape: tuple = ()) -> np.ndarray:
+    out = np.zeros(shape + (2, 2), dtype=complex)
+    out[...] = np.eye(2)
     return out
 
 
@@ -26,17 +26,12 @@ def dagger(m: np.ndarray) -> np.ndarray:
 
 
 def mm(*factors: np.ndarray) -> np.ndarray:
-    """Product of (batched) matrices, broadcast over the leading axes.
+    """Product of (batched) 2x2 matrices, broadcast over the leading axes.
 
-    2x2 factors are multiplied from the right with the four entries held
-    as separate arrays, so the (..., 2, 2) result is written only once;
-    the result keeps the input dtype.  Other ranks chain np.matmul.
+    Factors are multiplied from the right with the four entries held as
+    separate arrays, so the (..., 2, 2) result is written only once; the
+    result keeps the input dtype.
     """
-    if factors[-1].shape[-1] != 2:
-        out = factors[-1]
-        for m in reversed(factors[:-1]):
-            out = m @ out
-        return out
     last = factors[-1]
     e, f = last[..., 0, 0], last[..., 0, 1]
     g, h = last[..., 1, 0], last[..., 1, 1]
@@ -73,87 +68,49 @@ def _apply2(m: np.ndarray, f) -> np.ndarray:
 
 
 def exp(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential of (batched) anti-Hermitian matrices.
-
-    2x2 inputs use the closed-form eigenvalue pencil; larger ranks use the
-    eigendecomposition of the Hermitian matrix -i a.
-    """
-    a = np.asarray(a, dtype=complex)
-    if a.shape[-1] == 2:
-        return _apply2(a, np.exp)
-    h = -1j * a
-    evals, evecs = np.linalg.eigh(h)
-    phases = np.exp(1j * evals)
-    return np.einsum("...ik,...k,...jk->...ij", evecs, phases,
-                     np.conjugate(evecs))
+    """Matrix exponential of (batched) 2x2 matrices, via the closed-form
+    eigenvalue pencil."""
+    return _apply2(np.asarray(a, dtype=complex), np.exp)
 
 
 def log(g: np.ndarray, delta: float = DELTA_LOG) -> np.ndarray:
-    """Principal logarithm of (batched) unitary matrices.
+    """Principal logarithm of (batched) 2x2 unitary matrices.
 
     Raises LogBranchError if any eigenvalue phase lies within delta of pi.
     """
     g = np.asarray(g, dtype=complex)
-    if g.shape[-1] == 2:
-        l1, l2 = _eig2(g)
-        if np.any(np.pi - np.abs(np.angle(np.stack([l1, l2]))) < delta):
-            raise LogBranchError(
-                "unitary eigenvalue within %.1e of -1; logarithm branch "
-                "ambiguous" % delta)
-        out = _apply2(g, np.log)
-        return 0.5 * (out - dagger(out))
-    evals, evecs = np.linalg.eig(g)
-    angles = np.angle(evals)
-    if np.any(np.pi - np.abs(angles) < delta):
+    l1, l2 = _eig2(g)
+    if np.any(np.pi - np.abs(np.angle(np.stack([l1, l2]))) < delta):
         raise LogBranchError(
-            "unitary eigenvalue within %.1e of -1; logarithm branch ambiguous"
-            % delta)
-    out = np.einsum("...ik,...k,...kj->...ij", evecs, 1j * angles,
-                    np.linalg.inv(evecs))
-    # eig eigenvectors of a unitary are orthogonal only up to roundoff;
-    # symmetrize to keep the result exactly anti-Hermitian
+            "unitary eigenvalue within %.1e of -1; logarithm branch "
+            "ambiguous" % delta)
+    out = _apply2(g, np.log)
     return 0.5 * (out - dagger(out))
 
 
 def is_unitary(g: np.ndarray, tol: float = 1e-12) -> bool:
     g = np.asarray(g)
-    r = g.shape[-1]
-    dev = np.abs(np.einsum("...ik,...jk->...ij", g, np.conjugate(g))
-                 - np.eye(r))
-    return float(np.max(dev)) <= tol
+    return float(np.max(np.abs(mm(g, dagger(g)) - np.eye(2)))) <= tol
 
 
-def killing_inner(a: np.ndarray, b: np.ndarray, r: int | None = None) -> float:
-    """<a, b> = -2 r tr(a b) for single u(r) elements."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if r is None:
-        r = a.shape[-1]
-    return float(np.real(-2.0 * r * np.trace(a @ b)))
+def killing_inner(a: np.ndarray, b: np.ndarray) -> float:
+    """<a, b> = -4 tr(a b) for single su(2) elements."""
+    return float(np.real(-4.0 * np.trace(np.asarray(a) @ np.asarray(b))))
 
 
-def killing_inner_batched(a: np.ndarray, b: np.ndarray, r: int | None = None
-                          ) -> np.ndarray:
-    """Batched <a, b> over leading axes."""
-    a = np.asarray(a)
-    if r is None:
-        r = a.shape[-1]
-    return np.real(-2.0 * r * np.einsum("...ij,...ji->...", a, b))
+def killing_inner_batched(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Batched <a, b> = -4 tr(a b) over leading axes."""
+    return np.real(-4.0 * np.einsum("...ij,...ji->...", a, b))
 
 
 def project_su(m: np.ndarray) -> np.ndarray:
-    """Anti-Hermitian traceless part of an arbitrary (batched) matrix.
+    """Anti-Hermitian traceless part of (batched) 2x2 matrices, entrywise.
 
-    Complex inputs keep their dtype; 2x2 stacks use a fused entrywise form.
+    Complex inputs keep their dtype.
     """
     m = np.asarray(m)
     if not np.iscomplexobj(m):
         m = m.astype(complex)
-    if m.shape[-1] != 2:
-        r = m.shape[-1]
-        anti = 0.5 * (m - dagger(m))
-        tr = np.trace(anti, axis1=-2, axis2=-1)[..., None, None] / r
-        return anti - tr * np.eye(r, dtype=m.dtype)
     im00 = m[..., 0, 0].imag
     im11 = m[..., 1, 1].imag
     t = 0.5 * (im00 + im11)
@@ -167,17 +124,14 @@ def project_su(m: np.ndarray) -> np.ndarray:
 
 
 def unitarize(m: np.ndarray) -> np.ndarray:
-    """Nearest unitary via polar decomposition.
+    """Nearest unitary to (batched) 2x2 matrices via polar decomposition.
 
-    For invertible 2x2 M with singular values s1, s2, M + |det M| M^-dag =
+    For invertible M with singular values s1, s2, M + |det M| M^-dag =
     (s1 + s2) V W^dag, which is the polar factor V W^dag times
     sqrt(|M|_F^2 + 2 |det M|); it needs no eigenvalue divided difference,
     which loses digits when the singular values are close but not equal.
     """
     m = np.asarray(m, dtype=complex)
-    if m.shape[-1] != 2:
-        u, _, vh = np.linalg.svd(m)
-        return u @ vh
     a, b, c, d = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
     det = a * d - b * c
     phase = det / np.abs(det)       # |det M| M^-dag = phase * adj(M)^dag
@@ -190,11 +144,11 @@ def unitarize(m: np.ndarray) -> np.ndarray:
     return out / norm[..., None, None]
 
 
-def random_su(r: int, rng: np.random.Generator, shape: tuple = (),
+def random_su(rng: np.random.Generator, shape: tuple = (),
               scale: float = 1.0) -> np.ndarray:
-    """Random su(r) elements with independent Gaussian components."""
-    m = rng.normal(size=shape + (r, r), scale=scale) \
-        + 1j * rng.normal(size=shape + (r, r), scale=scale)
+    """Random su(2) elements with independent Gaussian components."""
+    m = rng.normal(size=shape + (2, 2), scale=scale) \
+        + 1j * rng.normal(size=shape + (2, 2), scale=scale)
     return project_su(m)
 
 
@@ -206,7 +160,7 @@ def classify_stabilizer(gens, tol: float = 1e-8) -> str:
     """
     gens = [np.asarray(g, dtype=complex) for g in gens]
     if any(g.shape != (2, 2) for g in gens):
-        raise ValueError("stabilizer classification implemented for r=2 only")
+        raise ValueError("stabilizer classification takes 2x2 generators only")
     # commutant of the set equals commutant of the generated group; closing
     # the set under products up to bounded length is enough at r=2
     algebra = [np.eye(2, dtype=complex)] + gens

@@ -33,7 +33,7 @@ class NonStabilizingTwistError(ValueError):
 class FlatTwist:
     """Flat Y-twist data, one generator per Y axis.
 
-    kind "CyclicZr": integer k mod r per generator (center twist),
+    kind "CyclicZr": integer k mod 2 per generator (center twist),
     kind "PicardU1": angle xi in [0, 2 pi) per generator (diagonal torus),
     kind "ConstantRep": explicit commuting unitary generators.
     """
@@ -54,16 +54,15 @@ class FlatTwist:
         return {"CyclicZr": len(self.ks), "PicardU1": len(self.angles),
                 "ConstantRep": len(self.matrices)}[self.kind]
 
-    def generator(self, i: int, r: int) -> np.ndarray:
+    def generator(self, i: int) -> np.ndarray:
         if self.kind == "CyclicZr":
-            return np.exp(2j * np.pi * self.ks[i] / r) * np.eye(r)
+            return np.exp(2j * np.pi * self.ks[i] / 2) * np.eye(2)
         if self.kind == "PicardU1":
             xi = self.angles[i]
-            q = np.array([1, -1] + [0] * (r - 2))
-            return np.diag(np.exp(1j * xi * q))
+            return np.diag(np.exp(1j * xi * np.array([1, -1])))
         return np.asarray(self.matrices[i], dtype=complex)
 
-    def is_central(self, r: int) -> bool:
+    def is_central(self) -> bool:
         return self.kind == "CyclicZr"
 
     @staticmethod
@@ -75,9 +74,9 @@ def pullback_connection(field_x: GaugeField, geom: LatticeGeometry,
                         twist: FlatTwist) -> GaugeField:
     """Pull an X-factor field back to the product torus with a flat twist.
 
-    X-direction links are copied to every Y slice; Y-direction links are the
-    identity except on the boundary-crossing layer of each Y axis, which
-    carries that generator of the twist.  The result has vanishing (2,0)
+    X-direction links are copied to every Y slice and Y-direction links are
+    the identity; ``twist_map`` then puts each twist generator on the
+    boundary-crossing layer of its Y axis.  The result has vanishing (2,0)
     and (1,1) curvature sectors.
     """
     if geom.split is None:
@@ -85,29 +84,11 @@ def pullback_connection(field_x: GaugeField, geom: LatticeGeometry,
     dy, dx = geom.split
     if field_x.geometry.dims != geom.dims[dy:]:
         raise ValueError("X-factor lattice does not match the product geometry")
-    if twist.n_generators() != dy:
-        raise ValueError("need one twist generator per Y axis")
-    r = field_x.rank
-    if not twist.is_central(r):
-        devs = [stabilizer_residual(_constant_map(twist.generator(i, r),
-                                                  field_x.geometry.dims),
-                                    field_x) for i in range(dy)]
-        if max(devs) >= 1e-8:
-            raise NonStabilizingTwistError(
-                f"twist generators do not stabilize the fibre field "
-                f"(max residual {max(devs):.3e})")
-    links = np.zeros((geom.naxes,) + geom.dims + (r, r), dtype=complex)
-    y_shape = geom.dims[:dy]
-    for j in range(dy):
-        links[j][...] = np.eye(r)
-        gj = twist.generator(j, r)
-        layer = [slice(None)] * len(geom.dims)
-        layer[j] = geom.dims[j] - 1
-        links[j][tuple(layer)] = links[j][tuple(layer)] @ gj
+    links = lg.identity_like((geom.naxes,) + geom.dims)
     for mu in range(dx):
         # broadcast the X link over all Y slices
         links[dy + mu][...] = field_x.links[mu][(None,) * dy]
-    return GaugeField(geom, links, field_x.twist)
+    return twist_map(GaugeField(geom, links, field_x.twist), twist)
 
 
 def _constant_map(g: np.ndarray, dims: Tuple[int, ...]) -> np.ndarray:
@@ -128,10 +109,9 @@ def twist_map(fieldv: GaugeField, twist: FlatTwist) -> GaugeField:
     dy = geom.dim_y
     if twist.n_generators() != dy:
         raise ValueError("need one twist generator per Y axis")
-    r = fieldv.rank
-    if not twist.is_central(r):
+    if not twist.is_central():
         rest = restriction(fieldv)
-        devs = [stabilizer_residual(_constant_map(twist.generator(i, r),
+        devs = [stabilizer_residual(_constant_map(twist.generator(i),
                                                   rest.geometry.dims), rest)
                 for i in range(dy)]
         if max(devs) >= 1e-8:
@@ -140,7 +120,7 @@ def twist_map(fieldv: GaugeField, twist: FlatTwist) -> GaugeField:
                 f"(max residual {max(devs):.3e})")
     out = fieldv.copy()
     for j in range(dy):
-        gj = twist.generator(j, r)
+        gj = twist.generator(j)
         layer = [slice(None)] * len(geom.dims)
         layer[j] = geom.dims[j] - 1
         out.links[j][tuple(layer)] = out.links[j][tuple(layer)] @ gj

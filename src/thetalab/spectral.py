@@ -204,8 +204,12 @@ def vanishing_verdict(kappa_alpha: float, kappa_beta: float, vol_y: float,
     eta_beta > -1, and kappa_alpha below the threshold
     vol_y * kappa_beta * (-1 - 1/eta_beta); (c) kappa_alpha < 0.
     Boundary equality in (b) is reported Possible with a warning.  Every
-    comparison allows VERDICT_TOL.
+    comparison allows VERDICT_TOL.  Non-finite charges or volume raise
+    ValueError, since NaN fails every comparison.
     """
+    if not all(map(math.isfinite, (kappa_alpha, kappa_beta, vol_y))):
+        raise ValueError("kappa_alpha, kappa_beta and vol_y must be finite, "
+                         f"got {kappa_alpha}, {kappa_beta}, {vol_y}")
     if not (-1.0 <= eta_beta < 0.0):
         raise ValueError(f"eta_beta must lie in [-1, 0), got {eta_beta}")
     if kappa_alpha < -VERDICT_TOL:

@@ -41,17 +41,13 @@ class LatticePath:
             out.append(tuple(x))
         return out
 
-    def is_loop(self, dims: Tuple[int, ...]) -> bool:
-        sites = self.sites(dims)
-        return sites[0] == sites[-1]
-
 
 def path_holonomy(fieldv: GaugeField, path: LatticePath) -> np.ndarray:
     """Ordered product of links along the path, anchored at the start site."""
     dims = fieldv.geometry.dims
     U = fieldv.links
     x = list(path.start)
-    hol = np.eye(fieldv.rank, dtype=complex)
+    hol = np.eye(2, dtype=complex)
     for s in path.steps:
         ax = abs(s) - 1
         if s > 0:
@@ -67,7 +63,7 @@ def horizontal_holonomy(fieldv: GaugeField, generator: int) -> np.ndarray:
     """Holonomy of the Y-generator loop at every X-site, basepoint y = 0.
 
     generator is the 0-based Y axis; returns an array of shape
-    (*x_dims, r, r) mapping each X-site to the loop holonomy.
+    (*x_dims, 2, 2) mapping each X-site to the loop holonomy.
     """
     geom = fieldv.geometry
     if geom.split is None:
@@ -76,10 +72,7 @@ def horizontal_holonomy(fieldv: GaugeField, generator: int) -> np.ndarray:
     if not (0 <= generator < dy):
         raise ValueError(f"generator must be a Y axis in [0, {dy})")
     U = fieldv.links[generator]
-    r = fieldv.rank
-    x_dims = geom.dims[dy:]
-    hol = np.zeros(x_dims + (r, r), dtype=complex)
-    hol[...] = np.eye(r)
+    hol = lg.identity_like(geom.dims[dy:])
     y0 = [0] * dy
     for t in range(geom.dims[generator]):
         y0[generator] = t
@@ -117,15 +110,13 @@ def gauge_normalize(fieldv: GaugeField) -> Tuple[GaugeField, np.ndarray]:
     The tree joins every Y site to the origin by incrementing coordinates in
     axis order; after the transformation each tree link is the identity and
     the y0-slice links are unchanged.  Returns (new_field, g) with g of
-    shape (*dims, r, r), identity on the y0 slice.
+    shape (*dims, 2, 2), identity on the y0 slice.
     """
     geom = fieldv.geometry
     if geom.split is None:
         raise ValueError("gauge normalization requires a product split")
     dy = geom.dim_y
-    r = fieldv.rank
-    g = np.zeros(geom.dims + (r, r), dtype=complex)
-    g[...] = np.eye(r)
+    g = lg.identity_like(geom.dims)
     y_dims = geom.dims[:dy]
     for y in itertools.product(*(range(d) for d in y_dims)):
         if all(c == 0 for c in y):
@@ -144,7 +135,7 @@ def gauge_normalize(fieldv: GaugeField) -> Tuple[GaugeField, np.ndarray]:
         j = max(i for i, c in enumerate(y) if c != 0)
         parent = list(y)
         parent[j] -= 1
-        new_field.links[(j,) + tuple(parent)] = np.eye(r)
+        new_field.links[(j,) + tuple(parent)] = np.eye(2)
     return new_field, g
 
 
@@ -221,7 +212,6 @@ def intrinsic_derivative_check(fieldv: GaugeField, x_path: LatticePath,
         raise ValueError("x_path must move only along X axes")
     curv = curvature or field_strength(fieldv)
     U = fieldv.links
-    r = fieldv.rank
 
     sites = x_path.sites(dims)
     start, end = sites[0], sites[-1]
@@ -235,8 +225,8 @@ def intrinsic_derivative_check(fieldv: GaugeField, x_path: LatticePath,
     v_end = U[(y_axis,) + end]
     lhs = lg.dagger(v_start) @ pi_up @ v_end - pi0
 
-    accum = np.zeros((r, r), dtype=complex)
-    partial = np.eye(r, dtype=complex)
+    accum = np.zeros((2, 2), dtype=complex)
+    partial = np.eye(2, dtype=complex)
     x = list(start)
     for s in x_path.steps:
         ax = abs(s) - 1

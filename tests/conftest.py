@@ -5,7 +5,7 @@ from thetalab import calibration as C
 from thetalab import lattice as La
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def rng():
     return np.random.default_rng(20260826)
 

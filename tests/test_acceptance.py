@@ -68,10 +68,10 @@ def test_ac5_charge_energy_consistency(asd_field):
     rep = La.charges(asd_field)
     assert abs(rep.kappa - 2.0) < 1e-6
     # analytic constant-field oracle: two unit-flux planes on the unit T^4,
-    # F_plane = 2 pi diag(i,-i), |F|^2 = -2r tr(F^2) = 32 pi^2 per plane
+    # F_plane = 2 pi diag(i,-i), |F|^2 = -4 tr(F^2) = 32 pi^2 per plane
     oracle = 64.0 * np.pi ** 2
     assert abs(rep.ym_action - oracle) < 1e-6 * oracle
-    predicted = 16.0 * asd_field.rank * np.pi ** 2 * rep.kappa_theta
+    predicted = 16.0 * 2 * np.pi ** 2 * rep.kappa_theta
     assert abs(rep.ym_action - predicted) < 1e-6 * abs(predicted)
 
 

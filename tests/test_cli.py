@@ -183,6 +183,13 @@ def test_feasible_reports_its_tolerance(tmp_path):
     assert rep["tolerance"] == 1e-9
 
 
+def test_feasible_rejects_nan_charge(tmp_path, capsys):
+    out = str(tmp_path / "feas4.json")
+    assert run(["feasible", "--model", "circle_t4", "--kappa-alpha", "nan",
+                "--assert", "--json", out]) == cli.EXIT_USAGE
+    assert "finite" in capsys.readouterr().err
+
+
 # --- flow options and field validation ------------------------------------------------
 
 def test_flow_rejects_unknown_manifest_keys(small_instanton, tmp_path, capsys):
@@ -193,6 +200,18 @@ def test_flow_rejects_unknown_manifest_keys(small_instanton, tmp_path, capsys):
         assert run(["flow", small_instanton, "--config", manifest]) \
             == cli.EXIT_USAGE
         assert repr(key) in capsys.readouterr().err
+
+
+def test_manifest_rejects_unknown_top_level_keys(tmp_path, capsys):
+    manifest = str(tmp_path / "manifest.json")
+    with open(manifest, "w") as fh:
+        json.dump({"dims": [3, 3, 3, 3], "fluxes": "12:1,34:-1",
+                   "twist": {"kind": "CyclicZr", "ks": [1]}, "bogus": 1,
+                   "outputs": {"field": str(tmp_path / "inst.json")}}, fh)
+    assert run(["make-instanton", "--config", manifest]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "'bogus'" in err and "'twist'" in err
+    assert not (tmp_path / "inst.json").exists()
 
 
 def test_flow_has_no_grad_flag(small_instanton):

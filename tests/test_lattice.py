@@ -107,7 +107,7 @@ def test_antisymmetry_of_components(asd_field):
 # --- action and charges ----------------------------------------------------------------
 
 def test_ym_action_analytic_value(asd_field):
-    """Constant |F| with two unit fluxes: YM = 2 * (-2r) tr(F_plane^2) summed
+    """Constant |F| with two unit fluxes: YM = 2 * (-4) tr(F_plane^2) summed
     over the two active planes = 64 pi^2 on the unit T^4."""
     want = 64.0 * np.pi ** 2
     assert abs(La.ym_action(asd_field) - want) < 1e-8 * want
@@ -147,10 +147,9 @@ def test_charge_splitting_residual(asd_field, circle_t4_geometry):
 
 def test_asd_bound_saturation(asd_field):
     """Abelian ASD fields saturate the topological lower bound:
-    YM = 16 r pi^2 kappa with the measured charge kappa."""
+    YM = 16 r pi^2 kappa (r = 2) with the measured charge kappa."""
     rep = La.charges(asd_field)
-    r = asd_field.rank
-    bound = 16.0 * r * np.pi ** 2 * rep.kappa
+    bound = 16.0 * 2 * np.pi ** 2 * rep.kappa
     assert abs(rep.ym_action - bound) < 1e-6 * abs(bound)
 
 
@@ -241,7 +240,8 @@ def test_load_field_accepts_roundoff_in_unitarity(tmp_path):
 # --- SU(2)-only links ----------------------------------------------------------------
 
 def test_rank_three_links_rejected(tmp_path, small_t4_geometry):
-    links = lg.identity_like(3, (4,) + small_t4_geometry.dims)
+    links = np.zeros((4,) + small_t4_geometry.dims + (3, 3), dtype=complex)
+    links[...] = np.eye(3)
     with pytest.raises(ValueError):
         La.GaugeField(small_t4_geometry, links)
     path = str(tmp_path / "r3.json")
@@ -302,7 +302,7 @@ def per_eigenspace_residual(field):
         if abs(lam + 1.0) < 1e-9:
             continue
         pv = np.tensordot(proj, vec, axes=(1, 0))
-        total += float(np.sum(lg.killing_inner_batched(pv, pv, 2)))
+        total += float(np.sum(lg.killing_inner_batched(pv, pv)))
     return total * field.geometry.cell_volume
 
 

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from thetalab import liegroup as lg
 
 
-def random_su(r, rng, scale=1.0):
-    m = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
+def random_su(rng, scale=1.0):
+    m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     a = lg.project_su(m)
     return scale * a / max(np.linalg.norm(a), 1e-12)
 
@@ -25,17 +25,15 @@ def test_exp_diagonal_su2():
 
 
 def test_exp_inverse(rng):
-    for r in (2, 3):
-        a = random_su(r, rng)
-        assert np.max(np.abs(lg.exp(a) @ lg.exp(-a) - np.eye(r))) < 1e-12
+    a = random_su(rng)
+    assert np.max(np.abs(lg.exp(a) @ lg.exp(-a) - np.eye(2))) < 1e-12
 
 
 @given(st.integers(0, 10**6))
 @settings(max_examples=100, deadline=None)
 def test_exp_lands_in_special_unitary(seed):
     rng = np.random.default_rng(seed)
-    r = int(rng.integers(2, 5))
-    g = lg.exp(random_su(r, rng, scale=float(rng.uniform(0, 3))))
+    g = lg.exp(random_su(rng, scale=float(rng.uniform(0, 3))))
     assert lg.is_unitary(g)
     assert abs(np.linalg.det(g) - 1.0) < 1e-12
 
@@ -53,15 +51,14 @@ def test_log_diagonal():
 
 
 def test_log_exp_roundtrip(rng):
-    for r in (2, 3, 4):
-        for _ in range(20):
-            a = random_su(r, rng, scale=float(rng.uniform(0, 0.9)))
-            assert np.max(np.abs(lg.log(lg.exp(a)) - a)) < 1e-10
+    for _ in range(20):
+        a = random_su(rng, scale=float(rng.uniform(0, 0.9)))
+        assert np.max(np.abs(lg.log(lg.exp(a)) - a)) < 1e-10
 
 
 def test_exp_log_roundtrip(rng):
     for _ in range(20):
-        g = lg.exp(random_su(2, rng, scale=2.0))
+        g = lg.exp(random_su(rng, scale=2.0))
         assert np.max(np.abs(lg.exp(lg.log(g)) - g)) < 1e-10
 
 
@@ -75,33 +72,22 @@ def test_log_branch_guard():
 
 def test_killing_inner_su2_diagonal():
     a = np.diag([1j, -1j])
-    assert abs(lg.killing_inner(a, a, 2) - 8.0) < 1e-14
+    assert abs(lg.killing_inner(a, a) - 8.0) < 1e-14
 
 
 def test_killing_inner_symmetric_positive(rng):
     for _ in range(50):
-        r = int(rng.integers(2, 5))
-        a, b = random_su(r, rng), random_su(r, rng)
-        assert abs(lg.killing_inner(a, b, r) - lg.killing_inner(b, a, r)) < 1e-12
-        assert lg.killing_inner(a, a, r) > 0.0
-
-
-def test_killing_inner_center_orthogonal_to_su(rng):
-    r = 3
-    center = 1j * np.eye(r)
-    a = random_su(r, rng)
-    assert abs(lg.killing_inner(center, a, r)) < 1e-12
-    # and positive on the center itself (u(r) positive-definiteness)
-    assert lg.killing_inner(center, center, r) > 0.0
+        a, b = random_su(rng), random_su(rng)
+        assert abs(lg.killing_inner(a, b) - lg.killing_inner(b, a)) < 1e-12
+        assert lg.killing_inner(a, a) > 0.0
 
 
 def test_killing_inner_ad_invariance(rng):
     for _ in range(20):
-        r = int(rng.integers(2, 4))
-        a, b = random_su(r, rng), random_su(r, rng)
-        g = lg.exp(random_su(r, rng, scale=1.5))
-        lhs = lg.killing_inner(g @ a @ lg.dagger(g), g @ b @ lg.dagger(g), r)
-        assert abs(lhs - lg.killing_inner(a, b, r)) < 1e-10
+        a, b = random_su(rng), random_su(rng)
+        g = lg.exp(random_su(rng, scale=1.5))
+        lhs = lg.killing_inner(g @ a @ lg.dagger(g), g @ b @ lg.dagger(g))
+        assert abs(lhs - lg.killing_inner(a, b)) < 1e-10
 
 
 # --- products -------------------------------------------------------------------
@@ -119,7 +105,6 @@ def test_mm_matches_matmul_chain(dtype, tol):
         [(5, 3, 2, 2), (5, 3, 2, 2)],                  # equal shapes
         [(4, 5, 3, 2, 2), (5, 3, 2, 2), (4, 1, 3, 2, 2)],   # broadcasting
         [(3, 2, 2), (3, 2, 2), (3, 2, 2), (3, 2, 2)],  # a clover leaf
-        [(4, 3, 3), (4, 3, 3), (1, 3, 3)],             # r = 3 fallback
     )
     for shapes in cases:
         factors = [random_stack(rng, s, dtype) for s in shapes]
@@ -149,20 +134,13 @@ def test_project_su_cases(rng):
     h = rng.standard_normal((2, 2))
     h = h + h.T                      # real symmetric, hence Hermitian
     assert np.max(np.abs(lg.project_su(h.astype(complex)))) < 1e-14
-    a = random_su(3, rng)
+    a = random_su(rng)
     assert np.max(np.abs(lg.project_su(a) - a)) < 1e-14
     assert np.max(np.abs(lg.project_su(1j * np.eye(2)))) < 1e-14
 
 
-def test_project_su_output_in_algebra(rng):
-    m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    a = lg.project_su(m)
-    assert np.max(np.abs(a + lg.dagger(a))) < 1e-14
-    assert abs(np.trace(a)) < 1e-14
-
-
 def test_unitarize_restores_unitarity(rng):
-    g = lg.exp(random_su(2, rng)) + 1e-8 * rng.standard_normal((2, 2))
+    g = lg.exp(random_su(rng)) + 1e-8 * rng.standard_normal((2, 2))
     u = lg.unitarize(g)
     assert lg.is_unitary(u)
     assert np.max(np.abs(u - g)) < 1e-7
@@ -170,7 +148,7 @@ def test_unitarize_restores_unitarity(rng):
 
 def test_unitarize_matches_svd_polar_factor():
     rng = np.random.default_rng(5)
-    near = lg.exp(lg.random_su(2, rng, (2000,))) \
+    near = lg.exp(lg.random_su(rng, (2000,))) \
         + 1e-8 * rng.standard_normal((2000, 2, 2))
     far = rng.standard_normal((200, 2, 2)) \
         + 1j * rng.standard_normal((200, 2, 2))

@@ -191,3 +191,10 @@ def test_vanishing_verdict_domain():
         S.vanishing_verdict(0.0, 1.0, 1.0, 0.0)
     with pytest.raises(ValueError):
         S.vanishing_verdict(0.0, 1.0, 1.0, -1.5)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_vanishing_verdict_rejects_non_finite(bad):
+    for args in ((bad, 5.0, 1.0), (0.0, bad, 1.0), (4.9, 5.0, bad)):
+        with pytest.raises(ValueError):
+            S.vanishing_verdict(*args, -0.5)
