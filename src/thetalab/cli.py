@@ -72,6 +72,28 @@ def _parse_floats(text: str) -> tuple:
     return tuple(float(tok) for tok in text.split(",") if tok)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
+# manifest key -> (description, check) of the JSON value it takes
+_MANIFEST_TYPES = {
+    "model": ("a string", lambda v: isinstance(v, str)),
+    "fluxes": ("a string", lambda v: isinstance(v, str)),
+    "dims": ("a list of integers",
+             lambda v: isinstance(v, list) and all(map(_is_int, v))),
+    "lengths": ("a list of numbers",
+                lambda v: isinstance(v, list) and all(map(_is_number, v))),
+    "flow": ("an object", lambda v: isinstance(v, dict)),
+    "outputs": ("an object", lambda v: isinstance(v, dict)),
+    "seed": ("an integer", _is_int),
+}
+
+
 @dataclass
 class ExperimentManifest:
     """Reproducible experiment description loadable from a JSON file."""
@@ -87,10 +109,17 @@ class ExperimentManifest:
     def load(path: str) -> "ExperimentManifest":
         with open(path) as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise ValueError(f"manifest {path} is not a JSON object")
         unknown = sorted(set(raw) - {f.name for f in fields(ExperimentManifest)})
         if unknown:
             raise ValueError(f"unknown manifest key(s) in {path}: "
                              + ", ".join(map(repr, unknown)))
+        for key, value in raw.items():
+            kind, accepts = _MANIFEST_TYPES[key]
+            if not accepts(value):
+                raise ValueError(f"manifest key {key!r} in {path} must be "
+                                 f"{kind}, not {value!r}")
         man = ExperimentManifest()
         for key in ("model", "fluxes", "flow", "seed", "outputs"):
             if key in raw:

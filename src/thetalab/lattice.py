@@ -12,6 +12,8 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import tokenize
+import zipfile
 from dataclasses import dataclass, field as dfield
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -426,46 +428,99 @@ def apply_gauge(fieldv: GaugeField, g: np.ndarray) -> GaugeField:
     return GaugeField(fieldv.geometry, new_links, fieldv.twist)
 
 
-def save_field(fieldv: GaugeField, path: str, seed: int | None = None,
-               extra: dict | None = None) -> None:
-    geom = fieldv.geometry
-    obj = {
-        "dims": list(geom.dims),
-        "lengths": list(geom.lengths),
-        "split": list(geom.split) if geom.split else None,
-        "model": geom.model.label,
-        "r": 2,
-        "fluxes": [list(row) for row in fieldv.twist.fluxes]
-        if fieldv.twist else None,
-        "seed": seed,
-        "links": [np.real(fieldv.links).tolist(),
-                  np.imag(fieldv.links).tolist()],
-    }
-    if extra:
-        obj.update(extra)
-    with open(path, "w") as fh:
-        json.dump(obj, fh)
-
+# Version of the field file layout that save_field writes and load_field reads
+FIELD_FORMAT = 1
 
 # Largest max |U U^dagger - 1| that load_field accepts
 LOAD_UNITARITY_TOL = 1e-10
 
 
+def save_field(fieldv: GaugeField, path: str, seed: int | None = None) -> None:
+    """Write a field file: an uncompressed npz archive at exactly ``path``.
+
+    The archive holds ``header``, a 0-d string array with a JSON object
+    (format, dims, lengths, split, model, fluxes, seed), and ``links``, the
+    complex128 (naxes, *dims, 2, 2) link array.
+    """
+    geom = fieldv.geometry
+    header = {
+        "format": FIELD_FORMAT,
+        "dims": list(geom.dims),
+        "lengths": list(geom.lengths),
+        "split": list(geom.split) if geom.split else None,
+        "model": geom.model.label,
+        "fluxes": [list(row) for row in fieldv.twist.fluxes]
+        if fieldv.twist else None,
+        "seed": seed,
+    }
+    # np.savez appends .npz to a str path, so hand it an open file
+    with open(path, "wb") as fh:
+        np.savez(fh, header=np.array(json.dumps(header)),
+                 links=np.asarray(fieldv.links, dtype=np.complex128))
+
+
+def _read_field_archive(path: str) -> Tuple[dict, np.ndarray]:
+    """The parsed header and the links of a field file, checked for layout."""
+    with open(path, "rb") as fh:
+        magic = fh.read(2)
+        if magic[:1] == b"{":
+            raise ValueError(f"{path}: JSON field files are no longer read; "
+                             "regenerate it as an npz field file")
+        if magic != b"PK":
+            raise ValueError(f"{path}: not a field file (not an npz archive)")
+        fh.seek(0)
+        try:
+            with np.load(fh, allow_pickle=False) as archive:
+                members = set(archive.files)
+                if members >= {"header", "links"}:
+                    header_text = archive["header"]
+                    links = archive["links"]
+        # what zipfile and numpy raise on damaged bytes
+        except (zipfile.BadZipFile, EOFError, OSError, RuntimeError,
+                ValueError, NotImplementedError, tokenize.TokenError) as exc:
+            raise ValueError(f"{path}: truncated or corrupt field file "
+                             f"({exc})") from exc
+    missing = sorted({"header", "links"} - members)
+    if missing:
+        raise ValueError(f"{path}: field file lacks member(s) "
+                         + ", ".join(missing))
+    try:
+        header = json.loads(str(header_text[()]))
+    except ValueError as exc:
+        raise ValueError(f"{path}: unreadable field file header") from exc
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}: field file header is not a JSON object")
+    if header.get("format") != FIELD_FORMAT:
+        raise ValueError(f"{path}: field file format {header.get('format')!r}"
+                         f" is not {FIELD_FORMAT}")
+    return header, links
+
+
 def load_field(path: str) -> GaugeField:
     """Read a field written by save_field.
 
-    Raises ValueError unless every link is finite and unitary to
-    LOAD_UNITARITY_TOL.
+    Raises ValueError, naming the path, unless the file is an intact field
+    archive of format FIELD_FORMAT whose complex128 links match its dims,
+    and every link is finite and unitary to LOAD_UNITARITY_TOL.
     """
-    with open(path) as fh:
-        obj = json.load(fh)
-    model = catalog(obj["model"])
-    geom = LatticeGeometry(tuple(obj["dims"]), tuple(obj["lengths"]), model,
-                           tuple(obj["split"]) if obj["split"] else None)
-    links = np.array(obj["links"][0]) + 1j * np.array(obj["links"][1])
-    twist = None
-    if obj.get("fluxes") is not None:
-        twist = TransitionTwist(tuple(map(tuple, obj["fluxes"])))
+    header, links = _read_field_archive(path)
+    try:
+        model = catalog(header["model"])
+        split = tuple(header["split"]) if header["split"] else None
+        geom = LatticeGeometry(tuple(header["dims"]), tuple(header["lengths"]),
+                               model, split)
+        fluxes = header["fluxes"]
+        twist = (TransitionTwist(tuple(map(tuple, fluxes)))
+                 if fluxes is not None else None)
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: malformed field file header ({exc!r})") \
+            from exc
+    if links.dtype != np.complex128:
+        raise ValueError(f"{path}: links are {links.dtype}, not complex128")
+    expected = (geom.naxes,) + geom.dims + (2, 2)
+    if links.shape != expected:
+        raise ValueError(f"{path}: links shape {links.shape} does not match "
+                         f"the header's dims, which need {expected}")
     fieldv = GaugeField(geom, links, twist)
     if not np.all(np.isfinite(links)):
         raise ValueError(f"{path}: links hold non-finite entries")

@@ -1,10 +1,12 @@
 import json
 import logging
+import os
 
 import numpy as np
 import pytest
 
 from thetalab import cli
+from tests.conftest import read_links, rewrite_links
 
 
 def run(argv):
@@ -220,12 +222,9 @@ def test_flow_has_no_grad_flag(small_instanton):
 
 def _corrupt_link(path, value):
     """Set the real part of one entry of one link."""
-    obj = read_json(path)
-    real = np.array(obj["links"][0])
-    real[1, 0, 0, 0, 0, 0, 0] = value
-    obj["links"][0] = real.tolist()
-    with open(path, "w") as fh:
-        json.dump(obj, fh)
+    links = read_links(path)
+    links.real[1, 0, 0, 0, 0, 0, 0] = value
+    rewrite_links(path, links)
 
 
 def test_charges_rejects_non_finite_links(small_instanton, tmp_path):
@@ -251,3 +250,54 @@ def test_flow_diagnostics_go_to_logging(tmp_path, caplog, capsys):
     assert rep["verdict"] == "converged"
     assert any(rec.name == "thetalab.flow" and "refine" in rec.getMessage()
                for rec in caplog.records)
+
+
+def test_malformed_field_file_is_usage_error(malformed_field_file, capsys):
+    path, fragment = malformed_field_file
+    assert run(["charges", path]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert path in err and fragment in err
+
+
+@pytest.mark.parametrize("manifest, argv", [
+    ({"dims": 3}, []),
+    ({"seed": "abc"}, ["--dims", "3,3,3,3", "--noise", "0.01"]),
+    ({"lengths": "a"}, ["--dims", "3,3,3,3"]),
+    ({"flow": []}, ["--dims", "3,3,3,3"]),
+])
+def test_manifest_rejects_wrong_value_types(manifest, argv, tmp_path, capsys):
+    path = str(tmp_path / "manifest.json")
+    with open(path, "w") as fh:
+        json.dump(manifest, fh)
+    out = tmp_path / "inst.npz"
+    assert run(["make-instanton", "--config", path, "--out", str(out)]
+               + argv) == cli.EXIT_USAGE
+    (key,) = manifest
+    assert f"manifest key {key!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_readme_chain_same_reports_for_npz_and_json_paths(tmp_path):
+    """Field files land at the path given, whatever its suffix."""
+    reports = {}
+    for ext in ("npz", "json"):
+        d = tmp_path / ext
+        d.mkdir()
+        inst, lifted = str(d / f"inst.{ext}"), str(d / f"lifted.{ext}")
+        steps = {
+            "make": ["make-instanton", "--fluxes", "12:1,34:-1",
+                     "--dims", "3,3,3,3", "--out", inst],
+            "twist": ["twist", inst, "--y-dims", "2", "--picard", "0.7",
+                      "--out", lifted],
+            "reduce": ["reduce", lifted, "--assert"],
+            "charges": ["charges", lifted],
+        }
+        for step, argv in steps.items():
+            rep = str(d / f"{step}.report")
+            assert run(argv + ["--json", rep]) == cli.EXIT_OK, step
+            reports[ext, step] = read_json(rep)
+            reports[ext, step].pop("written", None)
+        assert sorted(os.listdir(d)) == sorted(
+            [f"inst.{ext}", f"lifted.{ext}"] + [f"{s}.report" for s in steps])
+    for step in ("make", "twist", "reduce", "charges"):
+        assert reports["npz", step] == reports["json", step], step

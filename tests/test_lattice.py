@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from thetalab import calibration as C
 from thetalab import lattice as La
 from thetalab import liegroup as lg
 from thetalab import spectral as S
-from tests.conftest import asd_fluxes, sd_fluxes
+from tests.conftest import asd_fluxes, read_links, rewrite_links, sd_fluxes
 
 
 # --- geometry ------------------------------------------------------------------
@@ -217,15 +218,54 @@ def test_load_field_rejects_non_finite_or_non_unitary_links(tmp_path, value):
     field = La.trivial_field(La.LatticeGeometry((2, 2, 2, 2), (1.0,) * 4,
                                                 C.four_manifold_model()))
     La.save_field(field, path)
-    with open(path) as fh:
-        obj = json.load(fh)
-    real = np.array(obj["links"][0])
-    real[0, 0, 0, 0, 0, 0, 0] = value
-    obj["links"][0] = real.tolist()
-    with open(path, "w") as fh:
-        json.dump(obj, fh)
+    links = read_links(path)
+    links.real[0, 0, 0, 0, 0, 0, 0] = value
+    rewrite_links(path, links)
     with pytest.raises(ValueError):
         La.load_field(path)
+
+
+def test_save_field_writes_exactly_the_given_path(tmp_path, small_t4_geometry):
+    field = La.trivial_field(small_t4_geometry)
+    for name in ("x.json", "x.npz"):
+        La.save_field(field, str(tmp_path / name))
+    assert sorted(os.listdir(tmp_path)) == ["x.json", "x.npz"]
+    assert (tmp_path / "x.json").read_bytes() == (tmp_path / "x.npz").read_bytes()
+
+
+def test_save_field_is_byte_reproducible(tmp_path, asd_field):
+    a, b = tmp_path / "a.npz", tmp_path / "b.npz"
+    La.save_field(asd_field, str(a), seed=3)
+    La.save_field(asd_field, str(b), seed=3)
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_field_file_header_roundtrips_seed_split_fluxes(tmp_path):
+    geom = La.LatticeGeometry((2, 3, 3, 3, 3), (1.0,) * 5,
+                              C.catalog("circle_t4"))
+    fluxes = np.zeros((5, 5), dtype=int)
+    fluxes[1, 2], fluxes[3, 4] = 1, -1
+    fluxes -= fluxes.T
+    field = La.constant_curvature_abelian(geom, fluxes)
+    path = str(tmp_path / "field.npz")
+    La.save_field(field, path, seed=7)
+    with np.load(path) as archive:
+        assert sorted(archive.files) == ["header", "links"]
+        header = json.loads(str(archive["header"][()]))
+    assert header == {"format": 1, "dims": [2, 3, 3, 3, 3],
+                      "lengths": [1.0] * 5, "split": [1, 4],
+                      "model": "circle_t4", "fluxes": fluxes.tolist(),
+                      "seed": 7}
+    back = La.load_field(path)
+    assert back.geometry.split == (1, 4)
+    assert back.twist == field.twist
+
+
+def test_load_field_rejects_malformed_file(malformed_field_file):
+    path, fragment = malformed_field_file
+    with pytest.raises(ValueError) as info:
+        La.load_field(path)
+    assert path in str(info.value) and fragment in str(info.value)
 
 
 def test_load_field_accepts_roundoff_in_unitarity(tmp_path):
@@ -247,11 +287,7 @@ def test_rank_three_links_rejected(tmp_path, small_t4_geometry):
     path = str(tmp_path / "r3.json")
     field = La.trivial_field(small_t4_geometry)
     La.save_field(field, path)
-    with open(path) as fh:
-        obj = json.load(fh)
-    obj["links"] = [np.real(links).tolist(), np.imag(links).tolist()]
-    with open(path, "w") as fh:
-        json.dump(obj, fh)
+    rewrite_links(path, links)
     with pytest.raises(ValueError):
         La.load_field(path)
 
