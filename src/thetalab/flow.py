@@ -4,8 +4,9 @@ Minimizes R(U) = sum_x cellvol <F, (I - P_{-1}) F> over the product of
 su(2) fibres, where F is the clover-log field strength and P_{-1} the
 projector onto the lowest eigenspace of the calibration operator.  The
 analytic gradient differentiates through the matrix logarithm with exact
-divided-difference Frechet calculus; a central-difference mode serves as a
-slow cross-checking oracle.
+divided-difference Frechet calculus and walks each clover leaf factor by
+factor (``_leaf_walk``); the same walk builds the Gauss-Newton blocks.  A
+central-difference mode serves as a slow cross-checking oracle.
 """
 
 from __future__ import annotations
@@ -14,15 +15,15 @@ import logging
 import math
 from collections import deque
 from dataclasses import dataclass, field as dfield
-from typing import Deque, Dict, List, NamedTuple, Tuple
+from typing import Deque, Dict, List, Tuple
 
 import numpy as np
 
 from . import liegroup as lg
 from .lattice import (_LEAVES, BigradedCurvature, GaugeField,
-                      LatticeGeometry, _leaf_factors, _orthogonal_weight,
-                      _shift2, curvature_vector, field_strength,
-                      theta_residual)
+                      LatticeGeometry, _clover_leaves, _orthogonal_weight,
+                      _shift2, field_strength, theta_residual,
+                      weighted_curvature)
 
 _LOG = logging.getLogger(__name__)
 
@@ -63,138 +64,69 @@ def _pair_list(n: int) -> List[Tuple[int, int]]:
     return [(mu, nu) for mu in range(n) for nu in range(mu + 1, n)]
 
 
-class _PlaneCache(NamedTuple):
-    """Frozen per-plane linearization data of the clover-log curvature.
+def _dlog(clover: np.ndarray):
+    """E -> Dlog(C, E), the Frechet derivative of the principal logarithm.
 
-    Writing each clover leaf as a product of four link factors M_0..M_3,
-    a left-multiplicative link variation U -> exp(xi) U perturbs factor t
-    by +shift(xi) M_t (direct factor) or -M_t shift(xi) (daggered factor),
-    so every factor contributes sgn * P xi_shifted S to dC with P, S the
-    cached partial products.  The same (P, S) pair gives the adjoint
-    contribution sgn * S k P for a cotangent k, rolled back to the link
-    site.  Signs are folded into P.  specs[i] is the (link axis, shift) of
-    factor i, and groups collects the factors sharing a spec.
-
-    The clover's spectral projectors P1, P2 and divided differences give
-    the Frechet derivative of the principal logarithm, see ``frechet``.
+    Dlog(C, E) = sum_ij phi_ij P_i E P_j over the clover's spectral
+    projectors P1, P2, with phi_ii = 1/l_i and phi_12 = phi_21 the divided
+    difference of log at (l1, l2).  phi is symmetric, so Dlog is
+    self-adjoint under the trace form: tr(Dlog(C, E) G) = tr(E Dlog(C, G)).
     """
-
-    mu: int
-    nu: int
-    clover: np.ndarray
-    p_stack: np.ndarray
-    s_stack: np.ndarray
-    specs: Tuple[Tuple[int, Tuple[int, int]], ...]
-    groups: Dict[Tuple[int, Tuple[int, int]], List[int]]
-    phi12: np.ndarray
-    c1: np.ndarray
-    c2: np.ndarray
-    p1: np.ndarray
-    p2: np.ndarray
-
-    @staticmethod
-    def build(fieldv: GaugeField, mu: int, nu: int) -> "_PlaneCache":
-        eye = lg.identity_like(fieldv.geometry.dims)
-        p_list, s_list, sgns, specs, leaves = [], [], [], [], []
-        for leaf in _LEAVES:
-            mats = _leaf_factors(fieldv, mu, nu, leaf)
-            # prefix[t] = M_0..M_{t-1}, suffix[t] = M_t..M_3
-            prefix = [eye, mats[0]]
-            for t in (1, 2, 3):
-                prefix.append(lg.mm(prefix[t], mats[t]))
-            suffix = [None, None, None, mats[3], eye]
-            for t in (2, 1, 0):
-                suffix[t] = lg.mm(mats[t], suffix[t + 1])
-            leaves.append(suffix[0])
-            for t, (d, role, sign) in enumerate(leaf):
-                skip = 0 if sign > 0 else 1
-                p_list.append(prefix[t + skip])
-                s_list.append(suffix[t + skip])
-                sgns.append(float(sign))
-                specs.append((mu if role == 0 else nu, d))
-        clover = 0.25 * sum(leaves)
-        sgn = np.asarray(sgns).reshape((len(sgns),) + (1,) * clover.ndim)
-        groups: Dict[Tuple[int, Tuple[int, int]], List[int]] = {}
-        for i, spec in enumerate(specs):
-            groups.setdefault(spec, []).append(i)
-        # Dlog(C, E) = sum_ij phi_ij P_i E P_j with phi_ii = 1/l_i and
-        # phi_12 = phi_21 the divided difference of log at (l1, l2)
-        l1, l2 = lg._eig2(clover)
-        diff = l1 - l2
-        near = np.abs(diff) < 1e-12
-        safe = np.where(near, 1.0, diff)
-        phi12 = np.where(near, 1.0 / l1, (np.log(l1) - np.log(l2)) / safe)
-        eye2 = np.eye(2)
-        p1 = (clover - l2[..., None, None] * eye2) / safe[..., None, None]
-        p1 = np.where(near[..., None, None], 0.5 * eye2, p1)
-        return _PlaneCache(
-            mu, nu, clover, sgn * np.stack(p_list, axis=0),
-            np.stack(s_list, axis=0), tuple(specs), groups,
-            phi12[..., None, None], (1.0 / l1 - phi12)[..., None, None],
-            (1.0 / l2 - phi12)[..., None, None], p1, eye2 - p1)
-
-    def frechet(self, g: np.ndarray) -> np.ndarray:
-        """Dlog(C, g); phi is symmetric, so this is also the adjoint K with
-        tr(Dlog(C, E) g) = tr(E K)."""
-        return (self.phi12 * g + self.c1 * lg.mm(self.p1, g, self.p1)
-                + self.c2 * lg.mm(self.p2, g, self.p2))
+    l1, l2 = lg._eig2(clover)
+    diff = l1 - l2
+    near = np.abs(diff) < 1e-12
+    safe = np.where(near, 1.0, diff)
+    phi12 = np.where(near, 1.0 / l1, (np.log(l1) - np.log(l2)) / safe)
+    eye2 = np.eye(2)
+    p1 = (clover - l2[..., None, None] * eye2) / safe[..., None, None]
+    p1 = np.where(near[..., None, None], 0.5 * eye2, p1)
+    p2 = eye2 - p1
+    c0 = phi12[..., None, None]
+    c1 = (1.0 / l1 - phi12)[..., None, None]
+    c2 = (1.0 / l2 - phi12)[..., None, None]
+    return lambda g: c0 * g + c1 * lg.mm(p1, g, p1) + c2 * lg.mm(p2, g, p2)
 
 
-def _leaf_cache(fieldv: GaugeField) -> List[_PlaneCache]:
-    return [_PlaneCache.build(fieldv, mu, nu)
-            for mu, nu in _pair_list(fieldv.geometry.naxes)]
+def _leaf_walk(fieldv: GaugeField, mu: int, nu: int, cot: np.ndarray
+               ) -> Dict[Tuple[int, Tuple[int, int]], np.ndarray]:
+    """Adjoint of the (mu, nu) clover linearization against cotangent cot.
 
+    A leaf is the product L = M_0 M_1 M_2 M_3 of its factors.  A link
+    variation U -> exp(xi) U perturbs a direct factor by X M_t and a
+    daggered one by -M_t X, with X the shifted xi.  Against K = Dlog(C, cot),
+    tr(dL K) is then tr(X R_t) for a direct factor and -tr(X R_{t+1}) for a
+    daggered one, where R_t = (M_t..M_3) K (M_0..M_{t-1}).  Every factor is
+    unitary, so the walk starts at R_0 = L K and steps R_{t+1} = M_t^dag R_t
+    M_t, with no partial products kept.
 
-def _jacobian_apply(geom: LatticeGeometry, cache: List[_PlaneCache],
-                    xi: np.ndarray) -> np.ndarray:
-    """Directional derivative of the log field strength along xi.
-
-    Runs in the precision of the cache and of xi.
+    Returns these signed terms summed per (link axis, shift) in first-seen
+    order, at the leaf's site.  cot may carry a leading axis of its own, to
+    walk several cotangents at once.
     """
+    leaves = list(_clover_leaves(fieldv, mu, nu))
+    k = _dlog(0.25 * sum(prod for _, prod in leaves))(cot)
+    terms: Dict[Tuple[int, Tuple[int, int]], np.ndarray] = {}
+    for leaf, (mats, prod) in zip(_LEAVES, leaves):
+        r = lg.mm(prod, k)
+        for t, ((d, role, sign), m) in enumerate(zip(leaf, mats)):
+            if sign < 0:
+                r = lg.mm(lg.dagger(m), r, m)
+            spec = (mu if role == 0 else nu, d)
+            terms[spec] = terms.get(spec, 0.0) + sign * r
+            if sign > 0 and t < 3:
+                r = lg.mm(lg.dagger(m), r, m)
+    return terms
+
+
+def _add_link_terms(grad: np.ndarray, terms, geom: LatticeGeometry,
+                    mu: int, nu: int) -> None:
+    """Add the (mu, nu) walk terms to the residual gradient grad: each
+    term's su(2) part times 2 cellvol / (4 a_mu a_nu), at its link's site."""
     a = geom.spacings
-    out = []
-    for pc in cache:
-        shifted = {spec: _shift2(xi[spec[0]], pc.mu, pc.nu, spec[1])
-                   for spec in pc.groups}
-        x = np.stack([shifted[spec] for spec in pc.specs], axis=0)
-        dc = np.sum(lg.mm(pc.p_stack, x, pc.s_stack), axis=0)
-        dc *= 0.25 / (a[pc.mu] * a[pc.nu])
-        out.append(lg.project_su(pc.frechet(dc)))
-    return np.stack(out, axis=0)
-
-
-def _jacobian_transpose(geom: LatticeGeometry, cache: List[_PlaneCache],
-                        cot: np.ndarray) -> np.ndarray:
-    """Adjoint of the linearized log field strength against a cotangent.
-
-    For the functional R = 2 cellvol * sum_p <F_p, cot_p>_K with a fixed
-    per-plane cotangent field, returns the per-link su(2) gradient in the
-    precision of the cotangent; feeding cot = (I - P_{-1}) F reproduces
-    the residual gradient.
-    """
-    a = geom.spacings
-    cellvol = geom.cell_volume
-    grad = np.zeros((geom.naxes,) + cot.shape[1:], dtype=cot.dtype)
-    for pc, cot_p in zip(cache, cot):
-        coef = 2.0 * cellvol / (4.0 * a[pc.mu] * a[pc.nu])
-        m = lg.mm(pc.s_stack, pc.frechet(cot_p)[None], pc.p_stack)
-        for (axis, d), idxs in pc.groups.items():
-            msum = m[idxs[0]] if len(idxs) == 1 else np.sum(m[idxs], axis=0)
-            out = coef * lg.project_su(msum)
-            if d[0]:
-                out = np.roll(out, d[0], axis=pc.mu)
-            if d[1]:
-                out = np.roll(out, d[1], axis=pc.nu)
-            grad[axis] += out
-    return grad
-
-
-def _weighted_curvature(fieldv: GaugeField,
-                        curvature: BigradedCurvature | None) -> np.ndarray:
-    """(W F)_p per site, from the given curvature of fieldv if any."""
-    curv = curvature or field_strength(fieldv)
-    return np.tensordot(_orthogonal_weight(fieldv.geometry.model),
-                        curvature_vector(curv), axes=(1, 0))
+    coef = 2.0 * geom.cell_volume / (4.0 * a[mu] * a[nu])
+    for (axis, d), term in terms.items():
+        grad[axis] += _shift2(coef * lg.project_su(term), mu, nu,
+                              (-d[0], -d[1]))
 
 
 def residual_gradient(fieldv: GaugeField, mode: str = "analytic",
@@ -204,13 +136,19 @@ def residual_gradient(fieldv: GaugeField, mode: str = "analytic",
     """Riemannian gradient of the residual functional, per link.
 
     Returns an su(2)-valued array of the same shape as the links; the
-    descent update is U <- exp(-step * grad) U.  A given curvature must be
-    field_strength(fieldv); it spares rebuilding the clover logarithms.
+    descent update is U <- exp(-step * grad) U.  The analytic gradient
+    walks each plane's leaves against the cotangent W F_p (see _leaf_walk).
+    A given curvature must be field_strength(fieldv); it spares rebuilding
+    the clover logarithms.
     """
     if mode == "finite_difference":
         return _gradient_fd(fieldv, h_fd)
-    return _jacobian_transpose(fieldv.geometry, _leaf_cache(fieldv),
-                               _weighted_curvature(fieldv, curvature))
+    geom = fieldv.geometry
+    grad = np.zeros_like(fieldv.links)
+    for (mu, nu), wf in zip(_pair_list(geom.naxes),
+                            weighted_curvature(fieldv, curvature)):
+        _add_link_terms(grad, _leaf_walk(fieldv, mu, nu, wf), geom, mu, nu)
+    return grad
 
 
 # Real basis of su(2): i sigma_2, i sigma_1, i sigma_3
@@ -243,47 +181,38 @@ def _su2_matrices(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _plane_blocks(pc: _PlaneCache, scale: float) -> np.ndarray:
-    """One plane's linearization as real 3x3 blocks on su(2) coordinates.
-
-    blocks[i, g, j] is coordinate i of project_su(Dlog(C, scale * sum_t
-    P_t e_j S_t)), the sum running over the factors of link group g (in the
-    order of pc.groups): the response of the plane's log curvature at a
-    site to direction e_j of _SU2_BASIS on the links of that group.  Dlog
-    is self-adjoint under the trace form, so the transposed blocks, times
-    2 cellvol, are _jacobian_transpose in the same coordinates.
-    """
-    cols = []
-    for e in _SU2_BASIS:
-        m = lg.mm(pc.p_stack, e, pc.s_stack)
-        grouped = np.stack([np.sum(m[idxs], axis=0)
-                            for idxs in pc.groups.values()], axis=0)
-        cols.append(_su2_coords(pc.frechet(scale * grouped)))
-    return np.moveaxis(np.stack(cols, axis=2), 1, 0)
-
-
 class _GaussNewtonOperator:
     """Normal operator xi -> J^T W J xi of the weighted curvature map.
 
-    Keeps each plane's linearization as real 3x3 blocks on su(2)
-    coordinates in ``fast`` (see ``_plane_blocks``), in single precision,
-    so that a matrix-vector product is one forward and one transposed
-    contraction with them.  Used only inside the inner linear solves;
-    gradients and residuals stay in double precision.
+    Each plane is walked once (see _leaf_walk) against four cotangents:
+    W F_p, which gives the plane's share of ``gradient``, and the basis
+    directions e_i of _SU2_BASIS.  Dlog is self-adjoint, so walking e_i
+    gives row i of the plane's forward linearization: fast[p][i, g, j] is
+    coordinate i of the plane's log curvature response at a site to
+    direction e_j on the links of group g, the g-th spec in planes[p].
+    These real 3x3 blocks are kept in single precision, so that a
+    matrix-vector product is one forward and one transposed contraction
+    with them.  Used only inside the inner linear solves; gradients and
+    residuals stay in double precision.
     """
 
     def __init__(self, fieldv: GaugeField,
                  curvature: BigradedCurvature | None = None):
-        self.geometry = fieldv.geometry
-        self.w32 = _orthogonal_weight(self.geometry.model).astype(np.float32)
-        cache = _leaf_cache(fieldv)
-        self.gradient = _jacobian_transpose(
-            self.geometry, cache, _weighted_curvature(fieldv, curvature))
-        a = self.geometry.spacings
-        self.planes = [(pc.mu, pc.nu, list(pc.groups)) for pc in cache]
-        self.fast = [np.ascontiguousarray(
-            _plane_blocks(pc, 0.25 / (a[pc.mu] * a[pc.nu])), np.float32)
-            for pc in cache]
+        geom = self.geometry = fieldv.geometry
+        self.w32 = _orthogonal_weight(geom.model).astype(np.float32)
+        self.gradient = np.zeros_like(fieldv.links)
+        self.planes, self.fast = [], []
+        for (mu, nu), wf in zip(_pair_list(geom.naxes),
+                                weighted_curvature(fieldv, curvature)):
+            terms = _leaf_walk(fieldv, mu, nu, np.stack(
+                [wf] + [np.broadcast_to(e, wf.shape) for e in _SU2_BASIS]))
+            _add_link_terms(self.gradient, {s: t[0] for s, t in terms.items()},
+                            geom, mu, nu)
+            self.planes.append((mu, nu, list(terms)))
+            scale = 0.25 / (geom.spacings[mu] * geom.spacings[nu])
+            self.fast.append(np.ascontiguousarray(scale * np.stack(
+                [_su2_coords(t[1:]) for t in terms.values()], axis=1),
+                np.float32))
 
     def matvec(self, xi: np.ndarray) -> np.ndarray:
         """B xi, in complex64."""
@@ -292,7 +221,7 @@ class _GaussNewtonOperator:
             np.einsum("igj...,gj...->i...", blocks, np.stack(
                 [_shift2(x[axis], mu + 1, nu + 1, d) for axis, d in specs]))
             for (mu, nu, specs), blocks in zip(self.planes, self.fast)])
-        cot = np.tensordot(self.w32, df, axes=(1, 0))
+        cot = np.einsum("pq,q...->p...", self.w32, df)
         grad = np.zeros_like(x)
         for (mu, nu, specs), blocks, cot_p in zip(self.planes, self.fast,
                                                   cot):
@@ -418,7 +347,8 @@ def minimize(fieldv: GaugeField, cfg: FlowConfig = FlowConfig()
     once an L-BFGS line search fails while the tolerance is below
     _GN_SWITCH.  Every accepted step decreases the residual, so the trace
     is monotone.  An accepted candidate's curvature, built to score it,
-    also serves its gradient.
+    also serves its gradient.  A gradient with |g|^2 <= eps * residual is
+    roundoff at a critical point, and ends the run as "stationary".
     """
     trace = FlowTrace()
     current = fieldv.copy()
@@ -449,7 +379,7 @@ def minimize(fieldv: GaugeField, cfg: FlowConfig = FlowConfig()
                         * math.sqrt(max(_dot(y_vec, y_vec), 0.0)):
                     memory.append((s_vec, y_vec, 1.0 / sy))
         gnorm = math.sqrt(max(_dot(grad, grad), 0.0))
-        if gnorm < 1e-16:
+        if gnorm * gnorm <= np.finfo(float).eps * res:
             trace.verdict = "stationary"
             trace.residuals.append(res)
             trace.steps.append(0.0)

@@ -116,26 +116,21 @@ def gauge_normalize(fieldv: GaugeField) -> Tuple[GaugeField, np.ndarray]:
     if geom.split is None:
         raise ValueError("gauge normalization requires a product split")
     dy = geom.dim_y
+    # tree edges (y, j, parent) in lexicographic order, so that every
+    # parent precedes its children
+    tree = []
+    for y in itertools.product(*(range(d) for d in geom.dims[:dy])):
+        if any(y):
+            j = max(i for i, c in enumerate(y) if c != 0)
+            tree.append((y, j, y[:j] + (y[j] - 1,) + y[j + 1:]))
     g = lg.identity_like(geom.dims)
-    y_dims = geom.dims[:dy]
-    for y in itertools.product(*(range(d) for d in y_dims)):
-        if all(c == 0 for c in y):
-            continue
-        j = max(i for i, c in enumerate(y) if c != 0)
-        parent = list(y)
-        parent[j] -= 1
-        parent = tuple(parent)
+    for y, j, parent in tree:
         g[y] = g[parent] @ fieldv.links[(j,) + parent]
     new_field = apply_gauge(fieldv, g)
     # tree links are products g(parent) U g(child)^-1 = I up to roundoff;
     # snap them exactly
-    for y in itertools.product(*(range(d) for d in y_dims)):
-        if all(c == 0 for c in y):
-            continue
-        j = max(i for i, c in enumerate(y) if c != 0)
-        parent = list(y)
-        parent[j] -= 1
-        new_field.links[(j,) + tuple(parent)] = np.eye(2)
+    for _, j, parent in tree:
+        new_field.links[(j,) + parent] = np.eye(2)
     return new_field, g
 
 

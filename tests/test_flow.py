@@ -103,38 +103,88 @@ def test_normal_operator_symmetric_positive():
         assert Fl._dot(xi, bxi) >= 0.0
 
 
+def _dlog_by_eigenvectors(c, e):
+    """Frechet derivative of the principal log at c along e, from the
+    eigendecomposition c = V diag(l) V^-1."""
+    lam, v = np.linalg.eig(c)
+    vinv = np.linalg.inv(v)
+    l1, l2 = lam[..., :, None], lam[..., None, :]
+    diff = l1 - l2
+    same = np.abs(diff) < 1e-12
+    phi = np.where(same, 1.0 / l1,
+                   (np.log(l1) - np.log(l2)) / np.where(same, 1.0, diff))
+    return v @ (phi * (vinv @ e @ v)) @ vinv
+
+
+def forward_oracle(field, xi):
+    """Directional derivative of the log field strength along U ->
+    exp(t xi) U, plane by plane in curvature_vector order.  Each leaf's
+    variation is the sum of the leaf products with one factor replaced by
+    its own variation: X M (direct factor) or -M X (daggered factor), X
+    the shifted xi."""
+    a = field.geometry.spacings
+    out = []
+    for mu, nu in Fl._pair_list(field.geometry.naxes):
+        clover, dc = 0.0, 0.0
+        for leaf in La._LEAVES:
+            mats = La._leaf_factors(field, mu, nu, leaf)
+            clover = clover + 0.25 * lg.mm(*mats)
+            for t, (d, role, sign) in enumerate(leaf):
+                x = La._shift2(xi[mu if role == 0 else nu], mu, nu, d)
+                varied = list(mats)
+                varied[t] = lg.mm(x, mats[t]) if sign > 0 \
+                    else -lg.mm(mats[t], x)
+                dc = dc + lg.mm(*varied)
+        dc = 0.25 * dc / (a[mu] * a[nu])
+        out.append(lg.project_su(_dlog_by_eigenvectors(clover, dc)))
+    return np.stack(out, axis=0)
+
+
+def walk_adjoint(field, cot):
+    """2 cellvol J^T cot: each plane's leaf walk against its cotangent,
+    added to the links as residual_gradient does with cot = W F."""
+    grad = np.zeros_like(field.links)
+    for (mu, nu), cot_p in zip(Fl._pair_list(field.geometry.naxes), cot):
+        Fl._add_link_terms(grad, Fl._leaf_walk(field, mu, nu, cot_p),
+                           field.geometry, mu, nu)
+    return grad
+
+
 def test_normal_operator_matches_double_precision_passes():
     field = Fl.perturb(small_pullback(), 0.05, seed=14)
-    geom = field.geometry
     op = Fl._GaussNewtonOperator(field)
-    cache = Fl._leaf_cache(field)
-    w = La._orthogonal_weight(geom.model)
+    w = La._orthogonal_weight(field.geometry.model)
     xi = lg.random_su(np.random.default_rng(1), field.links.shape[:-2])
-    want = Fl._jacobian_transpose(
-        geom, cache, np.tensordot(w, Fl._jacobian_apply(geom, cache, xi),
-                                  axes=(1, 0)))
+    want = walk_adjoint(field, np.einsum("pq,q...->p...", w,
+                                         forward_oracle(field, xi)))
     got = op.matvec(xi)
     assert got.dtype == np.complex64
     assert np.max(np.abs(got - want)) < 1e-5 * np.max(np.abs(want))
 
 
-def test_plane_blocks_reproduce_jacobian_apply():
+def test_walked_blocks_reproduce_forward_oracle():
+    """Walking the basis cotangents gives each plane's forward blocks."""
     field = Fl.perturb(small_pullback(), 0.05, seed=14)
     geom = field.geometry
-    cache = Fl._leaf_cache(field)
     xi = lg.random_su(np.random.default_rng(1), field.links.shape[:-2])
     x = Fl._su2_coords(xi)
     a = geom.spacings
-    wants = Fl._su2_coords(Fl._jacobian_apply(geom, cache, xi))
-    for pc, want in zip(cache, wants):
-        blocks = Fl._plane_blocks(pc, 0.25 / (a[pc.mu] * a[pc.nu]))
-        shifted = np.stack([La._shift2(x[axis], pc.mu + 1, pc.nu + 1, d)
-                            for axis, d in pc.groups])
+    wants = Fl._su2_coords(forward_oracle(field, xi))
+    basis = np.stack([np.broadcast_to(e, xi.shape[1:]) for e in Fl._SU2_BASIS])
+    op = Fl._GaussNewtonOperator(field)
+    for (mu, nu, specs), fast, want in zip(op.planes, op.fast, wants):
+        terms = Fl._leaf_walk(field, mu, nu, basis)
+        assert list(terms) == specs
+        blocks = 0.25 / (a[mu] * a[nu]) * np.stack(
+            [Fl._su2_coords(t) for t in terms.values()], axis=1)
+        shifted = np.stack([La._shift2(x[axis], mu + 1, nu + 1, d)
+                            for axis, d in specs])
         got = np.einsum("igj...,gj...->i...", blocks, shifted)
         assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+        assert np.max(np.abs(fast - blocks)) < 1e-6 * np.max(np.abs(blocks))
 
 
-def test_jacobian_apply_matches_central_differences():
+def test_forward_oracle_matches_central_differences():
     field = Fl.perturb(small_pullback(), 0.08, seed=15)
     xi = lg.random_su(np.random.default_rng(2), field.links.shape[:-2])
     h = 1e-5
@@ -145,14 +195,33 @@ def test_jacobian_apply_matches_central_differences():
         return La.curvature_vector(La.field_strength(moved))
 
     want = (curvature_at(h) - curvature_at(-h)) / (2 * h)
-    got = Fl._jacobian_apply(field.geometry, Fl._leaf_cache(field), xi)
+    got = forward_oracle(field, xi)
     assert np.max(np.abs(got - want)) < 1e-7 * np.max(np.abs(want))
 
 
-def test_plane_cache_clover_matches_clover_field():
+def test_walk_is_adjoint_of_forward_oracle():
+    """<cot, J xi> under the trace form equals <J^T cot, xi> for the
+    walk's adjoint."""
+    field = Fl.perturb(small_pullback(), 0.08, seed=16)
+    rng = np.random.default_rng(3)
+    xi = lg.random_su(rng, field.links.shape[:-2])
+    cot = lg.random_su(rng, (10,) + field.geometry.dims)
+    jxi = forward_oracle(field, xi)
+    lhs = 2.0 * field.geometry.cell_volume * np.sum(
+        lg.killing_inner_batched(cot, jxi))
+    rhs = np.sum(lg.killing_inner_batched(walk_adjoint(field, cot), xi))
+    assert abs(lhs - rhs) < 1e-12 * abs(lhs)
+
+
+def test_clover_leaves_are_the_leaf_products():
     field = Fl.perturb(small_pullback(), 0.3, seed=16)
-    for pc in Fl._leaf_cache(field):
-        assert np.array_equal(pc.clover, La.clover_field(field, pc.mu, pc.nu))
+    for mu, nu in Fl._pair_list(field.geometry.naxes):
+        leaves = list(La._clover_leaves(field, mu, nu))
+        assert len(leaves) == len(La._LEAVES)
+        for leaf, (mats, prod) in zip(La._LEAVES, leaves):
+            want = La._leaf_factors(field, mu, nu, leaf)
+            assert all(np.array_equal(m, w) for m, w in zip(mats, want))
+            assert np.array_equal(prod, lg.mm(*want))
 
 
 def test_normal_operator_gradient_consistent():
@@ -213,6 +282,18 @@ def test_minimize_trace_is_consistent():
     assert all(g >= 0.0 for g in trace.grad_norms)
 
 
+def _count_gauss_newton_builds(monkeypatch):
+    calls = []
+    init = Fl._GaussNewtonOperator.__init__
+
+    def counting_init(self, *args, **kwargs):
+        calls.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Fl._GaussNewtonOperator, "__init__", counting_init)
+    return calls
+
+
 def test_minimize_builds_each_curvature_once(monkeypatch):
     """Every clover logarithm of a run comes from scoring a link
     configuration: the gradients and Gauss-Newton operators reuse the
@@ -228,49 +309,67 @@ def test_minimize_builds_each_curvature_once(monkeypatch):
         calls["residual"] += 1
         return residual_value(*args, **kwargs)
 
+    builds = _count_gauss_newton_builds(monkeypatch)
     monkeypatch.setattr(lg, "log", counting_log)
     monkeypatch.setattr(Fl, "residual_value", counting_residual)
-    field = small_pullback(fluxes=sd_fluxes())
-    Fl.minimize(field, Fl.FlowConfig(max_iters=21, tol_residual=1e-8))
+    field = Fl.perturb(small_pullback(), 0.02, seed=12)
+    Fl.minimize(field, Fl.FlowConfig(max_iters=400, tol_residual=1e-8))
     n_planes = 10
-    assert calls["residual"] > 21
+    assert builds
     assert calls["log"] == n_planes * calls["residual"]
 
 
-def _count_gauss_newton_builds(monkeypatch):
-    calls = []
-    init = Fl._GaussNewtonOperator.__init__
-
-    def counting_init(self, *args, **kwargs):
-        calls.append(1)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(Fl._GaussNewtonOperator, "__init__", counting_init)
-    return calls
-
-
 def test_failed_lbfgs_search_hands_over_to_gauss_newton(monkeypatch):
-    """The self-dual start stalls the L-BFGS line search at iteration 20,
-    far above _GN_SWITCH; with a tolerance below _GN_SWITCH the loop goes
-    on with Gauss-Newton directions."""
+    """A trial floor above the unit step fails every line search, the first
+    one far above _GN_SWITCH; with a tolerance below _GN_SWITCH the loop
+    goes on with Gauss-Newton directions."""
     builds = _count_gauss_newton_builds(monkeypatch)
-    field = small_pullback(fluxes=sd_fluxes())
-    _, trace = Fl.minimize(field, Fl.FlowConfig(max_iters=21,
+    monkeypatch.setattr(Fl, "_TRIAL_FLOOR", 2.0)
+    field = Fl.perturb(small_pullback(), 0.05, seed=10)
+    _, trace = Fl.minimize(field, Fl.FlowConfig(max_iters=5,
                                                 tol_residual=1e-8))
     assert trace.residuals[-1] > Fl._GN_SWITCH
-    assert trace.steps[19] == 0.0
-    assert len(trace.residuals) == 21 and len(builds) == 1
+    assert trace.steps[0] == 0.0
+    assert len(trace.residuals) == 5 and len(builds) == 4
     assert trace.verdict == "max_iters"
 
 
 def test_failed_lbfgs_search_stagnates_above_switch(monkeypatch):
     builds = _count_gauss_newton_builds(monkeypatch)
-    field = small_pullback(fluxes=sd_fluxes())
+    monkeypatch.setattr(Fl, "_TRIAL_FLOOR", 2.0)
+    field = Fl.perturb(small_pullback(), 0.05, seed=10)
     _, trace = Fl.minimize(field, Fl.FlowConfig(max_iters=25,
                                                 tol_residual=1e-3))
     assert trace.verdict == "stagnated"
-    assert len(trace.residuals) == 20 and trace.steps[-1] == 0.0
+    assert len(trace.residuals) == 1 and trace.steps[-1] == 0.0
     assert not builds
+
+
+def test_exact_critical_point_is_stationary():
+    """The self-dual pullback is a critical point of the residual: its
+    gradient is roundoff, far below the residual's own rounding, so the
+    loop stops at once and leaves the links alone."""
+    field = small_pullback(fluxes=sd_fluxes())
+    out, trace = Fl.minimize(field, Fl.FlowConfig(max_iters=25,
+                                                  tol_residual=1e-8))
+    assert trace.verdict == "stationary"
+    assert len(trace.residuals) == 1 and trace.steps == [0.0]
+    assert trace.residuals[0] > 1.0
+    assert np.array_equal(out.links, field.links)
+
+
+def test_minimize_makes_no_tensordot_call(monkeypatch):
+    """The flow's weight contractions are einsums, so no BLAS call starts
+    idle BLAS threads."""
+    def no_tensordot(*args, **kwargs):
+        raise AssertionError("np.tensordot called")
+
+    builds = _count_gauss_newton_builds(monkeypatch)
+    monkeypatch.setattr(np, "tensordot", no_tensordot)
+    field = Fl.perturb(small_pullback(), 0.02, seed=12)
+    _, trace = Fl.minimize(field, Fl.FlowConfig(max_iters=400,
+                                                tol_residual=1e-8))
+    assert trace.verdict == "converged" and builds
 
 
 def test_flow_config_has_no_gradient_mode_or_seed():
